@@ -57,10 +57,11 @@ def spark() -> SparkSession:
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    (shuffle partitions, Arrow, broadcast threshold) are set here. The
+    DPC fan-out (``repro.par.spark_map``) is an RDD stage and reads none
+    of them; they govern the DataFrame code around it (dataset frames
+    from ``repro.datasets.to_spark``, the DuckDB oracle tests) and match
+    the session that ``jobs/_common.py`` and the benchmark start.
     """
     s = (
         SparkSession.builder.appName("repro")

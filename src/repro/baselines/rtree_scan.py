@@ -46,10 +46,6 @@ def rtree_scan_dpc(
     t_build = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    if spark is not None and n_tasks is None:
-        n_tasks_rho = 4 * spark.sparkContext.defaultParallelism
-    else:
-        n_tasks_rho = n_tasks
     shared = Shared({"tree": tree, "pts": points, "d_cut": params.d_cut}, spark)
     try:
         out = run_tasks(
@@ -57,7 +53,7 @@ def rtree_scan_dpc(
             lambda it: _rho_kernel(it, shared),
             pd.DataFrame({"id": np.arange(n, dtype=np.int64)}),
             "id long, rho long, nde long",
-            n_tasks=n_tasks_rho,
+            n_tasks=n_tasks,
         )
     finally:
         shared.destroy()

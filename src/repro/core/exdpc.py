@@ -1,17 +1,20 @@
 """Ex-DPC (§3): exact DPC via a kd-tree.
 
-* Local density: one kd-tree range count per point. Parallel with
-  dynamic-style load balancing — per-point cost is O(n^{1-1/d} + ρ_i)
-  and unknowable up front, so (like the paper's OpenMP
-  ``schedule(dynamic)``) the points are over-decomposed into ~4× more
-  task groups than cores and the Spark scheduler assigns groups to free
-  cores.
+* Local density: one kd-tree range count per point, in parallel. The
+  paper uses OpenMP ``schedule(dynamic)`` because per-point cost,
+  O(n^{1-1/d} + ρ_i), is unknowable up front. Here the points are dealt
+  round-robin (LPT with unit costs) into one task group per core and run
+  as a single Spark wave (``par.spark_map``): each group gets a spread of
+  the points rather than a contiguous block, and a second wave of tasks
+  would cost more than the imbalance it removes.
 
 * Dependent points: the paper's incremental construction — sort by
   descending (jittered) density, then for each point run an NN query on
   a kd-tree containing exactly the higher-density points, inserting the
   point afterwards. This is *inherently sequential* (the paper proves it
-  cannot be parallelized) and runs on the driver.
+  cannot be parallelized) and runs on the driver. δ is then recomputed
+  from (point, dependent point) with the shared distance kernel, so it
+  is bit-identical to the reference's.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ import time
 import numpy as np
 import pandas as pd
 
+from repro.core.distutil import paired_sq_dists
 from repro.core.labels import finalize
 from repro.core.types import DPCParams, DPCResult, tiebreak
 from repro.index.kdtree import IncrementalKDTree, KDTree
@@ -54,8 +58,6 @@ def rho_kdtree(
 
     Returns (rho, dist_evals).
     """
-    if spark is not None and n_tasks is None:
-        n_tasks = 4 * spark.sparkContext.defaultParallelism  # dynamic-style
     shared = Shared({"tree": tree, "pts": points, "d_cut": d_cut}, spark)
     try:
         out = run_tasks(
@@ -108,6 +110,10 @@ def ex_dpc(
             dep[i] = j
             delta[i] = dist
         itree.insert(i, coords[i])
+    # The NN search sums squares in its own order; recompute δ with the
+    # shared kernel so it is bit-identical to every other exact algorithm.
+    has_dep = dep >= 0
+    delta[has_dep] = np.sqrt(paired_sq_dists(points[has_dep], points[dep[has_dep]]))
     t3 = time.perf_counter()
 
     centers, noise, labels = finalize(rho, delta, dep, params)

@@ -96,12 +96,8 @@ def s_approx_dpc(
     picked = np.array([int(grid.members(c)[0]) for c in range(m)], dtype=np.int64)
     t_build = time.perf_counter() - t0
 
-    # ρ phase: one range search per cell, dynamic-style scheduling.
+    # ρ phase: one range search per cell, one task group per core.
     t1 = time.perf_counter()
-    if spark is not None and n_tasks is None:
-        n_tasks_rho = 4 * spark.sparkContext.defaultParallelism
-    else:
-        n_tasks_rho = n_tasks
     shared = Shared(
         {"pts": points, "tree": tree, "cell_of": grid.cell_of, "d_cut": params.d_cut},
         spark,
@@ -112,7 +108,7 @@ def s_approx_dpc(
             lambda it: _pick_kernel(it, shared),
             pd.DataFrame({"cell": np.arange(m, dtype=np.int64), "picked": picked}),
             "cell long, picked long, rho long, nde long, ncells array<long>",
-            n_tasks=n_tasks_rho,
+            n_tasks=n_tasks,
         )
     finally:
         shared.destroy()

@@ -6,10 +6,20 @@ Every parallel phase of every algorithm is expressed as
 
 where ``items`` is a pandas DataFrame of work descriptors (point ids,
 cell ids, chunk ranges). Items are grouped into cost-balanced task
-groups with Graham's greedy LPT (``par.partition``) and executed with
-``groupBy("task").applyInPandas`` — one pandas batch per task group,
-scheduled onto local[*] cores by Spark. Read-only payloads (points,
-kd-trees, grids) ride along as Spark broadcasts via :class:`Shared`.
+groups with Graham's greedy LPT (``par.partition``), and the non-empty
+groups run as one ``sc.parallelize(groups, len(groups)).map(kernel)``
+stage: one partition, hence one Spark task, per group. With the default
+of ``defaultParallelism`` groups that is one wave of tasks over the
+local[*] cores. The groups are fixed on the driver, so there is no
+shuffle, no DataFrame round trip and no session conf to set.
+
+One wave is deliberate. On a 4-core host each extra wave of Python
+tasks costs about 0.25 s of scheduling and worker round trips, more
+than the imbalance it removes: LPT with unit costs deals items out
+round-robin, so the groups of a ρ stage are already even.
+
+Read-only payloads (points, kd-trees, grids) ride along as Spark
+broadcasts via :class:`Shared`.
 
 With ``spark=None`` the kernel runs once on the driver over all items —
 the serial mode used by unit tests and serial-vs-parallel equality
@@ -59,23 +69,26 @@ def run_tasks(
 ) -> pd.DataFrame:
     """Run ``kernel(items_group) -> pandas DataFrame`` over balanced groups.
 
-    ``out_schema`` is the Spark DDL schema of the kernel output (parallel
-    mode only). Serial mode (``spark=None``) calls the kernel once.
+    ``out_schema`` is the DDL schema of the kernel output,
+    ``"name type, ..."``; in parallel mode its column names select and
+    order the columns of the result, and a kernel output missing one of
+    them is an error. Serial mode (``spark=None``) calls the kernel once
+    and returns its output as is. Each group reaches the kernel with a
+    fresh ``RangeIndex``; the result concatenates the group outputs in
+    group order.
     """
     if spark is None or len(items) == 0:
         return kernel(items).reset_index(drop=True)
+    columns = [field.split()[0] for field in out_schema.split(",")]
     if n_tasks is None:
         n_tasks = spark.sparkContext.defaultParallelism
     if costs is None:
         costs = np.ones(len(items))
-    # AQE would coalesce the (byte-wise tiny, compute-wise heavy) shuffle
-    # into a single partition and serialise the whole fan-out onto one
-    # core; group count here is compute balance, not data balance.
-    spark.conf.set("spark.sql.adaptive.coalescePartitions.enabled", "false")
-    items = items.copy()
-    items["task"] = lpt_assign(np.asarray(costs), n_tasks)
-    sdf = spark.createDataFrame(items)
-    out = sdf.groupBy("task").applyInPandas(
-        lambda pdf: kernel(pdf.drop(columns=["task"])), out_schema
-    )
-    return out.toPandas()
+    assign = lpt_assign(np.asarray(costs), n_tasks)
+    groups = [g.reset_index(drop=True) for _, g in items.groupby(assign, sort=True)]
+    frames = spark.sparkContext.parallelize(groups, len(groups)).map(kernel).collect()
+    out = pd.concat(frames, ignore_index=True)
+    missing = [c for c in columns if c not in out.columns]
+    if missing:
+        raise ValueError(f"kernel output lacks columns {missing} of {out_schema!r}")
+    return out[columns]

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.distutil import sq_dists
+from repro.core.distutil import paired_sq_dists, sq_dists
 
 
 class TestSqDists:
@@ -42,3 +42,19 @@ class TestSqDists:
         full = sq_dists(pts, pts)
         part = sq_dists(pts[10:20], pts)
         assert np.array_equal(full[10:20], part)
+
+
+class TestPairedSqDists:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    def test_bitwise_equal_to_sq_dists(self, d):
+        """Row pairs give exactly the bits of the full matrix, so a δ
+        recomputed from (i, dep[i]) equals the reference's δ."""
+        rng = np.random.default_rng(d)
+        a, b = rng.uniform(0, 1e5, (40, d)), rng.uniform(0, 1e5, (50, d))
+        i, j = rng.integers(0, 40, 500), rng.integers(0, 50, 500)
+        assert np.array_equal(paired_sq_dists(a[i], b[j]), sq_dists(a, b)[i, j])
+
+    def test_values(self):
+        a = np.array([[0.0, 0.0], [1.0, 1.0]])
+        b = np.array([[3.0, 4.0], [1.0, 1.0]])
+        assert paired_sq_dists(a, b).tolist() == [25.0, 0.0]

@@ -55,6 +55,35 @@ def test_s_approx_parallel_equals_serial(spark, data, eps):
     assert np.array_equal(a.labels, b.labels)
 
 
+def test_caller_session_not_mutated(spark, data):
+    """Neither run_tasks nor an algorithm changes the session's SQL conf or
+    the SparkContext conf. A fresh session has its own SQL conf, so a
+    setting left by an earlier test cannot hide a new one."""
+    pts, params = data
+    session = spark.newSession()
+
+    def snapshot():
+        return (
+            dict(session.conf.getAll),
+            sorted(session.sparkContext.getConf().getAll()),
+        )
+
+    before = snapshot()
+    run_tasks(
+        session,
+        lambda it: it.assign(out=it["x"] + 1),
+        pd.DataFrame({"x": np.arange(20, dtype=np.int64)}),
+        "x long, out long",
+    )
+    assert snapshot() == before, "run_tasks"
+    ex_dpc(pts, params, spark=session)
+    assert snapshot() == before, "ex_dpc"
+    approx_dpc(pts, params, spark=session)
+    assert snapshot() == before, "approx_dpc"
+    s_approx_dpc(pts, params, 1.0, spark=session)
+    assert snapshot() == before, "s_approx_dpc"
+
+
 @pytest.mark.parametrize("n_tasks", [1, 3, 16, 64])
 def test_task_count_invariant(spark, data, n_tasks):
     pts, params = data
@@ -103,6 +132,60 @@ class TestRunTasks:
             n_tasks=4,
         )
         assert 1 in out["size"].tolist()  # the giant item sits alone
+
+    def test_parallel_matches_serial_columns_and_dtypes(self, spark):
+        def kernel(items):
+            ids = items["id"].to_numpy()
+            return pd.DataFrame(
+                {
+                    "id": ids,
+                    "half": ids / 2.0,
+                    "even": ids % 2 == 0,
+                    "ncells": [list(range(i % 3)) for i in ids],
+                }
+            )
+
+        items = pd.DataFrame({"id": np.arange(23, dtype=np.int64)})
+        schema = "id long, half double, even boolean, ncells array<long>"
+        serial = run_tasks(None, kernel, items, schema)
+        par = run_tasks(spark, kernel, items, schema, n_tasks=4)
+        assert list(par.columns) == list(serial.columns)
+        assert par.dtypes.to_dict() == serial.dtypes.to_dict()
+        par = par.sort_values("id").reset_index(drop=True)
+        assert par["id"].tolist() == serial["id"].tolist()
+        assert par["half"].tolist() == serial["half"].tolist()
+        assert par["even"].tolist() == serial["even"].tolist()
+        assert par["ncells"].tolist() == serial["ncells"].tolist()
+
+    def test_schema_selects_and_orders_columns(self, spark):
+        def kernel(items):
+            return items.assign(extra=0, out=items["x"] * 3)
+
+        items = pd.DataFrame({"x": np.arange(9, dtype=np.int64)})
+        out = run_tasks(spark, kernel, items, "out long, x long", n_tasks=2)
+        assert list(out.columns) == ["out", "x"]
+        with pytest.raises(ValueError, match=r"lacks columns \['missing'\]"):
+            run_tasks(spark, kernel, items, "x long, missing double", n_tasks=2)
+
+    def test_more_tasks_than_items(self, spark):
+        # each item in exactly one group, and only non-empty groups run
+        def kernel(items):
+            return items.assign(size=len(items))
+
+        items = pd.DataFrame({"x": np.arange(5, dtype=np.int64)})
+        out = run_tasks(spark, kernel, items, "x long, size long", n_tasks=12)
+        assert sorted(out["x"].tolist()) == list(range(5))
+        assert out["size"].tolist() == [1] * 5
+
+    @pytest.mark.parametrize("n_tasks", [1, 3, 16])
+    def test_explicit_n_tasks_honoured(self, spark, n_tasks):
+        def kernel(items):
+            return pd.DataFrame({"size": [np.int64(len(items))]})
+
+        items = pd.DataFrame({"x": np.arange(10, dtype=np.int64)})
+        out = run_tasks(spark, kernel, items, "size long", n_tasks=n_tasks)
+        assert len(out) == min(n_tasks, 10)
+        assert out["size"].sum() == 10
 
     def test_empty_items(self, spark):
         def kernel(items):
