@@ -22,7 +22,7 @@ import pandas as pd
 from repro.baselines.kmeans import kmeans
 from repro.core.labels import finalize
 from repro.core.scan import chunk_items, delta_scan
-from repro.core.types import DPCParams, DPCResult, tiebreak
+from repro.core.types import DPCParams, DPCResult, check_points, tiebreak
 from repro.par.spark_map import Shared, run_tasks
 
 __all__ = ["cfsfdp_a"]
@@ -95,7 +95,7 @@ def cfsfdp_a(
     chunk: int = 2048,
 ) -> DPCResult:
     """CFSFDP-A: exact ρ via pivot rings, δ via Scan."""
-    points = np.ascontiguousarray(points, dtype=np.float64)
+    points = check_points(points)
     n, d = points.shape
     if k is None:
         k = max(1, int(round(np.sqrt(n))))

@@ -23,7 +23,7 @@ import pandas as pd
 from repro.baselines.lsh import CompoundLSH
 from repro.core.distutil import sq_dists
 from repro.core.labels import finalize
-from repro.core.types import DPCParams, DPCResult, tiebreak
+from repro.core.types import DPCParams, DPCResult, check_points, tiebreak
 from repro.par.spark_map import Shared, run_tasks
 
 __all__ = ["lsh_ddp"]
@@ -145,7 +145,7 @@ def lsh_ddp(
     w_factor: float = 3.0,
 ) -> DPCResult:
     """LSH-DDP with L compound tables of k p-stable hashes, w = w_factor·d_cut."""
-    points = np.ascontiguousarray(points, dtype=np.float64)
+    points = check_points(points)
     n, d = points.shape
     jitter = tiebreak(n, params.seed)
 

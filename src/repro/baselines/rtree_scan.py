@@ -8,7 +8,7 @@ import pandas as pd
 
 from repro.core.labels import finalize
 from repro.core.scan import delta_scan
-from repro.core.types import DPCParams, DPCResult, tiebreak
+from repro.core.types import DPCParams, DPCResult, check_points, tiebreak
 from repro.index.rtree import RTree
 from repro.par.spark_map import Shared, run_tasks
 
@@ -39,7 +39,7 @@ def rtree_scan_dpc(
     chunk: int = 2048,
 ) -> DPCResult:
     """The R-tree + Scan baseline of the paper's evaluation."""
-    points = np.ascontiguousarray(points, dtype=np.float64)
+    points = check_points(points)
     n = len(points)
     t0 = time.perf_counter()
     tree = RTree(points, leaf_size=leaf_size)

@@ -24,7 +24,7 @@ import pandas as pd
 from repro.core.depexact import exact_dependent, solve_s
 from repro.core.distutil import sq_dists
 from repro.core.labels import finalize
-from repro.core.types import DPCParams, DPCResult, tiebreak
+from repro.core.types import DPCParams, DPCResult, check_points, tiebreak
 from repro.index.grid import UniformGrid, cell_side
 from repro.index.kdtree import KDTree
 from repro.par.spark_map import Shared, run_tasks
@@ -150,7 +150,7 @@ def approx_dpc(
     leaf_size: int = 32,
 ) -> DPCResult:
     """Approx-DPC (§4). Same cluster centers as Ex-DPC (Theorem 4)."""
-    points = np.ascontiguousarray(points, dtype=np.float64)
+    points = check_points(points)
     n, d = points.shape
     jitter = tiebreak(n, params.seed)
 

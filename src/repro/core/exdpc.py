@@ -1,12 +1,15 @@
 """Ex-DPC (§3): exact DPC via a kd-tree.
 
-* Local density: one kd-tree range count per point, in parallel. The
-  paper uses OpenMP ``schedule(dynamic)`` because per-point cost,
-  O(n^{1-1/d} + ρ_i), is unknowable up front. Here the points are dealt
-  round-robin (LPT with unit costs) into one task group per core and run
-  as a single Spark wave (``par.spark_map``): each group gets a spread of
-  the points rather than a contiguous block, and a second wave of tasks
-  would cost more than the imbalance it removes.
+* Local density: kd-tree range counts, in parallel. The paper runs one
+  count per point under OpenMP ``schedule(dynamic)`` because per-point
+  cost, O(n^{1-1/d} + ρ_i), is unknowable up front. Here the work unit
+  is a *leaf block*: the points of one kd-tree leaf share one tree walk
+  and one distance-kernel call (``KDTree.range_block``), so each point
+  is checked against the candidates of its block's bounding box. LPT
+  weighs the blocks by leaf size and deals them into one task group per
+  core, run as a single Spark wave (``par.spark_map``); a second wave of
+  tasks would cost more than the imbalance it removes. ρ still comes from
+  ``sq_dists``, so it is bit-identical to the reference's.
 
 * Dependent points: the paper's incremental construction — sort by
   descending (jittered) density, then for each point run an NN query on
@@ -25,7 +28,7 @@ import pandas as pd
 
 from repro.core.distutil import paired_sq_dists
 from repro.core.labels import finalize
-from repro.core.types import DPCParams, DPCResult, tiebreak
+from repro.core.types import DPCParams, DPCResult, check_points, tiebreak
 from repro.index.kdtree import IncrementalKDTree, KDTree
 from repro.par.spark_map import Shared, run_tasks
 
@@ -35,15 +38,17 @@ __all__ = ["ex_dpc", "rho_kdtree"]
 def _rho_kernel(items: pd.DataFrame, shared: Shared) -> pd.DataFrame:
     p = shared.get()
     tree: KDTree = p["tree"]
-    pts, d_cut = p["pts"], p["d_cut"]
-    ids = items["id"].to_numpy()
-    rho = np.empty(len(ids), dtype=np.int64)
-    nde = np.empty(len(ids), dtype=np.int64)
-    for k, i in enumerate(ids):
-        before = tree.dist_evals
-        rho[k] = tree.range_count(pts[i], d_cut) - 1  # exclude self
-        nde[k] = tree.dist_evals - before
-    return pd.DataFrame({"id": ids, "rho": rho, "nde": nde})
+    pts, bounds, d_cut = p["pts"], p["bounds"], p["d_cut"]
+    a_id, a_rho, a_nde = [], [], []
+    for k in items["leaf"].to_numpy():
+        ids = tree.perm[bounds[k] : bounds[k + 1]]
+        cand, within = tree.range_block(pts[ids], d_cut)
+        a_id.append(ids)
+        a_rho.append(np.count_nonzero(within, axis=1) - 1)  # exclude self
+        a_nde.append(np.full(len(ids), len(cand), dtype=np.int64))
+    return pd.DataFrame(
+        {"id": np.concatenate(a_id), "rho": np.concatenate(a_rho), "nde": np.concatenate(a_nde)}
+    )
 
 
 def rho_kdtree(
@@ -54,17 +59,20 @@ def rho_kdtree(
     spark=None,
     n_tasks: int | None = None,
 ) -> tuple[np.ndarray, int]:
-    """All local densities by per-point range counts on ``tree``.
+    """All local densities of ``points``, the points ``tree`` indexes:
+    one block range search per leaf of ``tree``.
 
     Returns (rho, dist_evals).
     """
-    shared = Shared({"tree": tree, "pts": points, "d_cut": d_cut}, spark)
+    bounds = tree.leaf_bounds()
+    shared = Shared({"tree": tree, "pts": points, "bounds": bounds, "d_cut": d_cut}, spark)
     try:
         out = run_tasks(
             spark,
             lambda it: _rho_kernel(it, shared),
-            pd.DataFrame({"id": np.arange(len(points), dtype=np.int64)}),
+            pd.DataFrame({"leaf": np.arange(len(bounds) - 1, dtype=np.int64)}),
             "id long, rho long, nde long",
+            costs=np.diff(bounds),
             n_tasks=n_tasks,
         )
     finally:
@@ -83,7 +91,7 @@ def ex_dpc(
     leaf_size: int = 32,
 ) -> DPCResult:
     """Exact DPC: kd-tree range counts + incremental-kd-tree NN (§3)."""
-    points = np.ascontiguousarray(points, dtype=np.float64)
+    points = check_points(points)
     n, d = points.shape
     t0 = time.perf_counter()
     tree = KDTree(points, leaf_size=leaf_size)

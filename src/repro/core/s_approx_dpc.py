@@ -3,8 +3,10 @@
 A coarser grid G' (side ε·d_cut/√d) is built; one *picked* point per
 cell gets an exact density via a kd-tree range search (one search per
 cell — this is where the ε-for-speed trade comes from); every other
-point simply depends on its cell's picked point. Picked points resolve
-their dependent points in two phases:
+point simply depends on its cell's picked point. The searches run in
+blocks: the picked points held by one kd-tree leaf share one tree walk
+(``KDTree.range_block``), and such a block is one LPT work item, weighed
+by its size. Picked points resolve their dependent points in two phases:
 
 1. any picked point in a neighbouring cell (N(c)) with higher density —
    approximate dependent distance bounded by (1+ε)·d_cut;
@@ -26,7 +28,7 @@ import pandas as pd
 from repro.core.depexact import exact_dependent
 from repro.core.distutil import sq_dists
 from repro.core.labels import finalize
-from repro.core.types import DPCParams, DPCResult, tiebreak
+from repro.core.types import DPCParams, DPCResult, check_points, tiebreak
 from repro.index.grid import UniformGrid, cell_side
 from repro.index.kdtree import KDTree
 from repro.par.spark_map import Shared, run_tasks
@@ -37,26 +39,19 @@ __all__ = ["s_approx_dpc"]
 def _pick_kernel(items: pd.DataFrame, shared: Shared) -> pd.DataFrame:
     p = shared.get()
     pts, tree, cell_of, d_cut = p["pts"], p["tree"], p["cell_of"], p["d_cut"]
-    rows = []
-    for c, pid in zip(items["cell"].to_numpy(), items["picked"].to_numpy()):
-        c, pid = int(c), int(pid)
-        before = tree.dist_evals
-        R = tree.range_query(pts[pid], d_cut)
-        nde = tree.dist_evals - before
-        ncells = np.unique(cell_of[R])
-        ncells = ncells[ncells != c]
-        rows.append(
-            {
-                "cell": c,
-                "picked": pid,
-                "rho": len(R) - 1,  # exclude self
-                "nde": nde,
-                "ncells": ncells.tolist(),
-            }
-        )
-    return pd.DataFrame(
-        rows, columns=["cell", "picked", "rho", "nde", "ncells"]
-    )
+    picked, cells, offsets = p["picked"], p["cells"], p["offsets"]
+    out: dict[str, list] = {"cell": [], "rho": [], "nde": [], "ncells": []}
+    for g in items["group"].to_numpy():
+        block = cells[offsets[g] : offsets[g + 1]]
+        cand, within = tree.range_block(pts[picked[block]], d_cut)
+        cand_cells = cell_of[cand]
+        for c, row in zip(block.tolist(), within):
+            ncells = np.unique(cand_cells[row])
+            out["cell"].append(c)
+            out["rho"].append(int(np.count_nonzero(row)) - 1)  # exclude self
+            out["nde"].append(len(cand))
+            out["ncells"].append(ncells[ncells != c].tolist())
+    return pd.DataFrame(out)
 
 
 def _temporal_roots(dep_local: np.ndarray) -> np.ndarray:
@@ -84,7 +79,7 @@ def s_approx_dpc(
     """S-Approx-DPC with approximation parameter ``eps`` (> 0)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    points = np.ascontiguousarray(points, dtype=np.float64)
+    points = check_points(points)
     n, d = points.shape
     jitter = tiebreak(n, params.seed)
 
@@ -96,18 +91,35 @@ def s_approx_dpc(
     picked = np.array([int(grid.members(c)[0]) for c in range(m)], dtype=np.int64)
     t_build = time.perf_counter() - t0
 
-    # ρ phase: one range search per cell, one task group per core.
+    # ρ phase: the picked points grouped by the kd-tree leaf that holds
+    # them, one block range search per group. A group is one work item,
+    # never split across tasks, so dist_evals does not depend on n_tasks.
     t1 = time.perf_counter()
+    bounds = tree.leaf_bounds()
+    pos = np.empty(n, dtype=np.int64)
+    pos[tree.perm] = np.arange(n)  # position of each point in the leaf order
+    leaf = np.searchsorted(bounds, pos[picked], side="right") - 1
+    cells = np.argsort(leaf, kind="stable")
+    offsets = np.flatnonzero(np.diff(leaf[cells], prepend=-1, append=-1))
     shared = Shared(
-        {"pts": points, "tree": tree, "cell_of": grid.cell_of, "d_cut": params.d_cut},
+        {
+            "pts": points,
+            "tree": tree,
+            "cell_of": grid.cell_of,
+            "d_cut": params.d_cut,
+            "picked": picked,
+            "cells": cells,
+            "offsets": offsets,
+        },
         spark,
     )
     try:
         out = run_tasks(
             spark,
             lambda it: _pick_kernel(it, shared),
-            pd.DataFrame({"cell": np.arange(m, dtype=np.int64), "picked": picked}),
-            "cell long, picked long, rho long, nde long, ncells array<long>",
+            pd.DataFrame({"group": np.arange(len(offsets) - 1, dtype=np.int64)}),
+            "cell long, rho long, nde long, ncells array<long>",
+            costs=np.diff(offsets),
             n_tasks=n_tasks,
         )
     finally:

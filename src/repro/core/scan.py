@@ -19,7 +19,7 @@ import pandas as pd
 
 from repro.core.distutil import sq_dists
 from repro.core.labels import finalize
-from repro.core.types import DPCParams, DPCResult, tiebreak
+from repro.core.types import DPCParams, DPCResult, check_points, tiebreak
 from repro.par.spark_map import Shared, run_tasks
 
 __all__ = ["scan_dpc", "chunk_items", "delta_scan", "rho_scan"]
@@ -146,8 +146,8 @@ def scan_dpc(
     chunk: int = 2048,
 ) -> DPCResult:
     """The straightforward algorithm of §2.2, Spark-parallelized."""
+    points = check_points(points)
     n = len(points)
-    points = np.ascontiguousarray(points, dtype=np.float64)
     t0 = time.perf_counter()
     rho = rho_scan(points, params.d_cut, spark=spark, n_tasks=n_tasks, chunk=chunk)
     t1 = time.perf_counter()

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["DPCParams", "DPCResult", "tiebreak"]
+__all__ = ["DPCParams", "DPCResult", "check_points", "tiebreak"]
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,22 @@ class DPCParams:
     def __post_init__(self):
         if self.d_cut <= 0:
             raise ValueError("d_cut must be positive")
+
+
+def check_points(points) -> np.ndarray:
+    """The input contract of every DPC entry point.
+
+    ``points`` must be a non-empty, finite (n, d) array; it is returned as
+    a C-contiguous float64 array. Anything else raises ``ValueError``: a
+    NaN coordinate would otherwise be accepted silently, and would make
+    every comparison, including the kd-tree's pruning tests, false.
+    """
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.size == 0:
+        raise ValueError(f"points must be a non-empty (n, d) array, got shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite (no NaN or inf)")
+    return points
 
 
 def tiebreak(n: int, seed: int = 777) -> np.ndarray:

@@ -7,7 +7,12 @@ Two variants, matching how the paper uses them:
   searches (Approx-DPC's per-subset trees). Median split on the widest
   dimension, points permuted into contiguous leaf slices so leaf scans
   are numpy-vectorised; internal traversal is Python-level with
-  split-plane pruning.
+  split-plane pruning. There is one walk per query kind: every range
+  search goes through :meth:`KDTree.range_block`, which serves a whole
+  block of queries (typically the points of one leaf) with one walk over
+  the block's bounding box and one ``sq_dists`` call — a single query is
+  a block of one — and every NN search through
+  :meth:`KDTree.nn_with_bound`.
 
 * :class:`IncrementalKDTree` — pointer-based, supports one-by-one
   insertion with the axis cycling by depth. This is the structure
@@ -19,12 +24,16 @@ Two variants, matching how the paper uses them:
 
 Both count ``dist_evals`` — the number of point-point distance
 evaluations — which experiments report as a machine-independent cost.
+A block query computes, and counts, every (query, candidate) pair of
+the block.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from repro.core.distutil import sq_dists
 
 __all__ = ["KDTree", "IncrementalKDTree"]
 
@@ -106,65 +115,65 @@ class KDTree:
 
     # -- queries ---------------------------------------------------------
 
-    def range_count(self, q: np.ndarray, r: float) -> int:
-        """Number of indexed points with dist(q, p) < r (strict)."""
-        r2 = r * r
+    def leaf_bounds(self) -> np.ndarray:
+        """Leaf starts in ascending order, then ``n``.
+
+        Leaf ``k`` holds ``ppts[b[k]:b[k + 1]]`` (ids ``perm[b[k]:b[k + 1]]``).
+        """
+        starts = sorted(s for ax, s in zip(self._axis, self._start) if ax < 0)
+        return np.array(starts + [self.n], dtype=np.int64)
+
+    def _slices(self, lo: list, hi: list) -> list[tuple[int, int]]:
+        """Leaf slices of ``ppts`` whose region meets the box [lo, hi].
+
+        Ascending, with adjacent slices merged. The pruning tests are those
+        of a ball query, so a box ``q ± r`` visits the leaves it would.
+        """
         axis, split = self._axis, self._split
         left, right = self._left, self._right
-        start, end, ppts = self._start, self._end, self.ppts
+        start, end = self._start, self._end
+        out: list[tuple[int, int]] = []
         stack = [0]
-        cnt = 0
-        nde = 0
         while stack:
             nid = stack.pop()
             ax = axis[nid]
-            if ax < 0:
-                s, e = start[nid], end[nid]
-                diff = ppts[s:e] - q
-                dd = np.einsum("ij,ij->i", diff, diff)
-                cnt += int(np.count_nonzero(dd < r2))
-                nde += e - s
+            if ax >= 0:
+                sp = split[nid]
+                if hi[ax] >= sp:
+                    stack.append(right[nid])
+                if lo[ax] < sp:
+                    stack.append(left[nid])  # popped first: leaves ascend
                 continue
-            sp = split[nid]
-            qa = q[ax]
-            if qa - r < sp:
-                stack.append(left[nid])
-            if qa + r >= sp:
-                stack.append(right[nid])
-        self.dist_evals += nde
-        return cnt
+            s, e = start[nid], end[nid]
+            if out and out[-1][1] == s:
+                out[-1] = (out[-1][0], e)
+            else:
+                out.append((s, e))
+        return out
+
+    def range_block(self, Q: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """Range search for a block of queries ``Q`` ((b, d)) in one tree walk.
+
+        The walk visits every leaf whose region meets the bounding box of
+        the b balls of radius ``r``. Returns ``(ids, within)``: the ids of
+        those leaves' points, and the (b, len(ids)) mask
+        ``sq_dists(Q, points[ids]) < r * r`` (strict). Adds
+        ``b * len(ids)`` to ``dist_evals``.
+        """
+        slices = self._slices((Q.min(axis=0) - r).tolist(), (Q.max(axis=0) + r).tolist())
+        ids = np.concatenate([self.perm[s:e] for s, e in slices])
+        cand = np.concatenate([self.ppts[s:e] for s, e in slices])
+        self.dist_evals += len(Q) * len(ids)
+        return ids, sq_dists(Q, cand) < r * r
+
+    def range_count(self, q: np.ndarray, r: float) -> int:
+        """Number of indexed points with dist(q, p) < r (strict)."""
+        return int(np.count_nonzero(self.range_block(q[None, :], r)[1]))
 
     def range_query(self, q: np.ndarray, r: float) -> np.ndarray:
         """Ids of indexed points with dist(q, p) < r (strict), unsorted."""
-        r2 = r * r
-        axis, split = self._axis, self._split
-        left, right = self._left, self._right
-        start, end, ppts, perm = self._start, self._end, self.ppts, self.perm
-        stack = [0]
-        hits: list[np.ndarray] = []
-        nde = 0
-        while stack:
-            nid = stack.pop()
-            ax = axis[nid]
-            if ax < 0:
-                s, e = start[nid], end[nid]
-                diff = ppts[s:e] - q
-                dd = np.einsum("ij,ij->i", diff, diff)
-                m = dd < r2
-                if m.any():
-                    hits.append(perm[s:e][m])
-                nde += e - s
-                continue
-            sp = split[nid]
-            qa = q[ax]
-            if qa - r < sp:
-                stack.append(left[nid])
-            if qa + r >= sp:
-                stack.append(right[nid])
-        self.dist_evals += nde
-        if not hits:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(hits)
+        ids, within = self.range_block(q[None, :], r)
+        return ids[within[0]]
 
     def nn(self, q: np.ndarray, exclude: int = -1) -> tuple[int, float]:
         """Nearest indexed point to q (optionally excluding id ``exclude``).
@@ -172,49 +181,17 @@ class KDTree:
         Returns (point_id, distance); (-1, inf) on an effectively empty
         search (e.g. the tree only contains the excluded point).
         """
-        axis, split = self._axis, self._split
-        left, right = self._left, self._right
-        start, end, ppts, perm = self._start, self._end, self.ppts, self.perm
-        best2 = _INF
-        best_id = -1
-        stack = [(0, 0.0)]
-        nde = 0
-        while stack:
-            nid, bound = stack.pop()
-            if bound >= best2:
-                continue
-            ax = axis[nid]
-            while ax >= 0:
-                sp = split[nid]
-                diff = q[ax] - sp
-                if diff < 0.0:
-                    near, far = left[nid], right[nid]
-                else:
-                    near, far = right[nid], left[nid]
-                b2 = diff * diff
-                if b2 < best2:
-                    stack.append((far, b2))
-                nid = near
-                ax = axis[nid]
-            s, e = start[nid], end[nid]
-            diff = ppts[s:e] - q
-            dd = np.einsum("ij,ij->i", diff, diff)
-            nde += e - s
-            if exclude >= 0:
-                dd = np.where(perm[s:e] == exclude, _INF, dd)
-            i = int(np.argmin(dd))
-            if dd[i] < best2:
-                best2 = float(dd[i])
-                best_id = int(perm[s + i])
-        self.dist_evals += nde
-        return best_id, math.sqrt(best2) if best_id >= 0 else _INF
+        return self.nn_with_bound(q, _INF, exclude)
 
-    def nn_with_bound(self, q: np.ndarray, best: float) -> tuple[int, float]:
+    def nn_with_bound(
+        self, q: np.ndarray, best: float, exclude: int = -1
+    ) -> tuple[int, float]:
         """NN search seeded with an upper bound ``best`` (exclusive).
 
         Used by Approx-DPC's per-subset search: a point farther than the
         best-so-far dependent candidate can never win, so whole subtrees
-        are pruned. Returns (-1, best) if nothing beats the bound.
+        are pruned. Id ``exclude`` (if >= 0) is never returned. Returns
+        (-1, best) if nothing beats the bound.
         """
         axis, split = self._axis, self._split
         left, right = self._left, self._right
@@ -244,6 +221,8 @@ class KDTree:
             diff = ppts[s:e] - q
             dd = np.einsum("ij,ij->i", diff, diff)
             nde += e - s
+            if exclude >= 0:
+                dd = np.where(perm[s:e] == exclude, _INF, dd)
             i = int(np.argmin(dd))
             if dd[i] < best2:
                 best2 = float(dd[i])

@@ -147,6 +147,84 @@ class TestNN:
         assert i2 == -1 and d2 == pytest.approx(bdist * 0.5)
 
 
+class TestRangeBlock:
+    @staticmethod
+    def _check(t, pts, Q, r):
+        """Every row of the block query equals brute force, and the
+        candidates are distinct and counted as len(Q) * len(ids)."""
+        before = t.dist_evals
+        ids, within = t.range_block(Q, r)
+        assert t.dist_evals - before == len(Q) * len(ids)
+        assert within.shape == (len(Q), len(ids))
+        assert len(np.unique(ids)) == len(ids)
+        d2 = sq_dists(Q, pts)
+        for k in range(len(Q)):
+            assert np.array_equal(np.sort(ids[within[k]]), np.flatnonzero(d2[k] < r * r))
+        return ids
+
+    @pytest.mark.parametrize("leaf_size", [1, 4, 32])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    def test_leaf_blocks_match_brute(self, d, leaf_size):
+        pts = _pts(300, d, seed=d)
+        t = KDTree(pts, leaf_size=leaf_size)
+        b = t.leaf_bounds()
+        assert b[0] == 0 and b[-1] == 300 and np.all(np.diff(b) >= 1)
+        assert np.all(np.diff(b) <= leaf_size)
+        for r in (5.0, 30.0, 80.0):
+            for k in range(len(b) - 1):
+                self._check(t, pts, t.ppts[b[k] : b[k + 1]], r)
+            self._check(t, pts, _pts(7, d, seed=d + 50), r)  # an arbitrary block
+
+    def test_duplicate_points(self):
+        pts = np.repeat(_pts(20, 2, 3), 5, axis=0)
+        t = KDTree(pts, leaf_size=4)
+        b = t.leaf_bounds()
+        for r in (0.5, 10.0):
+            for k in range(len(b) - 1):
+                self._check(t, pts, t.ppts[b[k] : b[k + 1]], r)
+
+    def test_distance_exactly_r_excluded(self):
+        # every pair of neighbours is exactly 5 apart, the rest farther
+        pts = np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0], [-4.0, 3.0]])
+        t = KDTree(pts, leaf_size=1)
+        ids, within = t.range_block(pts, 5.0)
+        assert np.array_equal(ids[np.argmax(within, axis=1)], np.arange(4))
+        assert within.sum(axis=1).tolist() == [1, 1, 1, 1]  # only the point itself
+        assert t.range_block(pts, 5.0 + 1e-9)[1].sum() == 10
+
+    def test_single_leaf_tree(self):
+        pts = _pts(10, 3, 4)
+        t = KDTree(pts)
+        assert t.leaf_bounds().tolist() == [0, 10]
+        ids = self._check(t, pts, pts, 40.0)
+        assert sorted(ids.tolist()) == list(range(10))
+
+    def test_box_covering_whole_domain(self):
+        pts = _pts(200, 2, 5)
+        t = KDTree(pts, leaf_size=4)
+        Q = np.array([[-1000.0, -1000.0], [1000.0, 1000.0]])
+        ids = self._check(t, pts, Q, 10.0)
+        assert sorted(ids.tolist()) == list(range(200))
+
+    def test_single_query_dist_evals_pinned(self):
+        """One-row queries visit the leaves the former per-query walks
+        visited; the literals are the dist_evals those walks counted."""
+        pts = _pts(500, 3, 11)
+        q = _pts(1, 3, 12)[0]
+        t = KDTree(pts, leaf_size=8)
+        for call, want in (
+            (lambda: t.range_count(q, 20.0), 31),
+            (lambda: t.range_count(q, 45.0), 146),
+            (lambda: t.range_query(pts[7], 45.0), 372),
+            (lambda: t.nn(q), 15),
+            (lambda: t.nn(pts[3], exclude=3), 31),
+            (lambda: t.nn_with_bound(q, 5.0), 15),
+        ):
+            t.dist_evals = 0
+            call()
+            assert t.dist_evals == want
+
+
 class TestHypothesis:
     @settings(max_examples=25, deadline=None)
     @given(

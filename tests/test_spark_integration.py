@@ -39,10 +39,11 @@ def test_parallel_equals_serial(spark, data, name, fn):
     a = fn(pts, params)
     b = fn(pts, params, spark=spark)
     assert np.array_equal(a.rho, b.rho), name
-    assert np.allclose(a.delta, b.delta), name
+    assert np.array_equal(a.delta, b.delta), name
     assert np.array_equal(a.dep, b.dep), name
     assert np.array_equal(a.centers, b.centers), name
     assert np.array_equal(a.labels, b.labels), name
+    assert a.counters["dist_evals"] == b.counters["dist_evals"], name
 
 
 @pytest.mark.parametrize("eps", [0.4, 1.0])
@@ -51,8 +52,9 @@ def test_s_approx_parallel_equals_serial(spark, data, eps):
     a = s_approx_dpc(pts, params, eps)
     b = s_approx_dpc(pts, params, eps, spark=spark)
     assert np.array_equal(a.rho, b.rho)
-    assert np.allclose(a.delta, b.delta)
+    assert np.array_equal(a.delta, b.delta)
     assert np.array_equal(a.labels, b.labels)
+    assert a.counters["dist_evals"] == b.counters["dist_evals"]
 
 
 def test_caller_session_not_mutated(spark, data):
@@ -84,12 +86,26 @@ def test_caller_session_not_mutated(spark, data):
     assert snapshot() == before, "s_approx_dpc"
 
 
+def _assert_same_run(base, res):
+    assert np.array_equal(base.labels, res.labels)
+    assert np.array_equal(base.delta, res.delta)
+    assert base.counters["dist_evals"] == res.counters["dist_evals"]
+
+
 @pytest.mark.parametrize("n_tasks", [1, 3, 16, 64])
 def test_task_count_invariant(spark, data, n_tasks):
     pts, params = data
     base = ex_dpc(pts, params)
-    res = ex_dpc(pts, params, spark=spark, n_tasks=n_tasks)
-    assert np.array_equal(base.labels, res.labels)
+    _assert_same_run(base, ex_dpc(pts, params, spark=spark, n_tasks=n_tasks))
+
+
+@pytest.mark.parametrize("n_tasks", [1, 3, 16])
+def test_s_approx_task_count_invariant(spark, data, n_tasks):
+    """A ρ work item (the picked points of one kd-tree leaf) is never split
+    across tasks, so not even dist_evals depends on the task count."""
+    pts, params = data
+    base = s_approx_dpc(pts, params, 0.4)
+    _assert_same_run(base, s_approx_dpc(pts, params, 0.4, spark=spark, n_tasks=n_tasks))
 
 
 class TestRunTasks:

@@ -4,7 +4,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines.cfsfdp_a import cfsfdp_a
+from repro.baselines.lsh_ddp import lsh_ddp
+from repro.baselines.rtree_scan import rtree_scan_dpc
+from repro.core.approx_dpc import approx_dpc
+from repro.core.exdpc import ex_dpc
+from repro.core.s_approx_dpc import s_approx_dpc
+from repro.core.scan import scan_dpc
 from repro.core.types import DPCParams, DPCResult, tiebreak
+
+ENTRY_POINTS = {
+    "scan": scan_dpc,
+    "exdpc": ex_dpc,
+    "rtree_scan": rtree_scan_dpc,
+    "cfsfdp_a": cfsfdp_a,
+    "approx_dpc": approx_dpc,
+    "lsh_ddp": lsh_ddp,
+    "s_approx_dpc": lambda pts, params: s_approx_dpc(pts, params, 1.0),
+}
 
 
 class TestParams:
@@ -58,3 +75,20 @@ class TestResult:
             labels=np.zeros(3, dtype=np.int64),
         )
         assert r.n_clusters == 2
+
+
+@pytest.mark.parametrize("fn", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_entry_point_input_contract(fn):
+    """Every public algorithm rejects non-finite, non-2-D and empty input
+    and accepts any finite 2-D array-like as float64."""
+    params = DPCParams(d_cut=1.5)
+    good = [[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]]
+    for bad in (
+        [[0.0, 0.0], [np.nan, 1.0], [5.0, 5.0]],
+        [[0.0, 0.0], [1.0, np.inf], [5.0, 5.0]],
+        [0.0, 1.0, 5.0],
+        np.empty((0, 2)),
+    ):
+        with pytest.raises(ValueError, match="points must be"):
+            fn(np.asarray(bad), params)
+    assert len(fn(np.asarray(good, dtype=np.int32), params).labels) == 3
