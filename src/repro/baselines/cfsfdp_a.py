@@ -20,23 +20,18 @@ import numpy as np
 import pandas as pd
 
 from repro.baselines.kmeans import kmeans
+from repro.core.distutil import paired_sq_dists
 from repro.core.labels import finalize
 from repro.core.scan import chunk_items, delta_scan
 from repro.core.types import DPCParams, DPCResult, check_points, tiebreak
-from repro.par.spark_map import Shared, run_tasks
+from repro.par.spark_map import fan_out
 
 __all__ = ["cfsfdp_a"]
 
 _FLAT_CHUNK = 1 << 20
 
 
-def _paired_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a - b
-    return np.einsum("ij,ij->i", diff, diff)
-
-
-def _rho_kernel(items: pd.DataFrame, shared: Shared) -> pd.DataFrame:
-    p = shared.get()
+def _rho_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
     pts, cents, d_cut = p["pts"], p["cents"], p["d_cut"]
     gsorted_d, gsorted_id = p["gsorted_d"], p["gsorted_id"]
     dcut2 = d_cut * d_cut
@@ -66,7 +61,7 @@ def _rho_kernel(items: pd.DataFrame, shared: Shared) -> pd.DataFrame:
             for f0 in range(0, total, _FLAT_CHUNK):
                 qs = qidx[f0 : f0 + _FLAT_CHUNK]
                 cs = cand[f0 : f0 + _FLAT_CHUNK]
-                d2 = _paired_sq(a[qs], pts[cs])
+                d2 = paired_sq_dists(a[qs], pts[cs])
                 cnt += np.bincount(
                     qs, weights=(d2 < dcut2), minlength=m
                 ).astype(np.int64)
@@ -120,7 +115,11 @@ def cfsfdp_a(
     t_prep = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    shared = Shared(
+    out = fan_out(
+        spark,
+        _rho_kernel,
+        chunk_items(n, chunk),
+        "id long, rho long, nde long",
         {
             "pts": points,
             "cents": cents,
@@ -128,18 +127,8 @@ def cfsfdp_a(
             "gsorted_d": gsorted_d,
             "gsorted_id": gsorted_id,
         },
-        spark,
+        n_tasks=n_tasks,
     )
-    try:
-        out = run_tasks(
-            spark,
-            lambda it: _rho_kernel(it, shared),
-            chunk_items(n, chunk),
-            "id long, rho long, nde long",
-            n_tasks=n_tasks,
-        )
-    finally:
-        shared.destroy()
     rho = np.zeros(n, dtype=np.int64)
     rho[out["id"].to_numpy()] = out["rho"].to_numpy()
     nde = int(out["nde"].sum())

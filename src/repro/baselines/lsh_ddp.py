@@ -23,8 +23,9 @@ import pandas as pd
 from repro.baselines.lsh import CompoundLSH
 from repro.core.distutil import sq_dists
 from repro.core.labels import finalize
+from repro.core.scan import nearest_higher
 from repro.core.types import DPCParams, DPCResult, check_points, tiebreak
-from repro.par.spark_map import Shared, run_tasks
+from repro.par.spark_map import fan_out
 
 __all__ = ["lsh_ddp"]
 
@@ -42,8 +43,7 @@ def _bucket_layout(bucket_ids: np.ndarray):
     return layouts
 
 
-def _rho_kernel(items: pd.DataFrame, shared: Shared) -> pd.DataFrame:
-    p = shared.get()
+def _rho_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
     pts, dcut2 = p["pts"], p["dcut2"]
     layouts = p["layouts"]
     frames = []
@@ -61,13 +61,10 @@ def _rho_kernel(items: pd.DataFrame, shared: Shared) -> pd.DataFrame:
             pd.DataFrame({"id": mem.astype(np.int64), "rho": cnt - 1, "nde": 0})
         )
         frames[-1].loc[frames[-1].index[:1], "nde"] = b * b
-    if not frames:
-        return pd.DataFrame(columns=["id", "rho", "nde"])
     return pd.concat(frames, ignore_index=True)
 
 
-def _delta_kernel(items: pd.DataFrame, shared: Shared) -> pd.DataFrame:
-    p = shared.get()
+def _delta_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
     pts, key = p["pts"], p["key"]
     layouts = p["layouts"]
     frames = []
@@ -101,35 +98,19 @@ def _delta_kernel(items: pd.DataFrame, shared: Shared) -> pd.DataFrame:
             )
         )
         frames[-1].loc[frames[-1].index[:1], "nde"] = b * b
-    if not frames:
-        return pd.DataFrame(columns=["id", "delta", "dep", "nde"])
     return pd.concat(frames, ignore_index=True)
 
 
-def _refine_kernel(items: pd.DataFrame, shared: Shared) -> pd.DataFrame:
-    p = shared.get()
+def _refine_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
     pts, key = p["pts"], p["key"]
     ids = items["id"].to_numpy()
-    a = pts[ids]
-    ka = key[ids]
-    n = len(pts)
-    best = np.full(len(ids), np.inf)
-    besti = np.full(len(ids), -1, dtype=np.int64)
-    for j0 in range(0, n, 2048):
-        d2 = sq_dists(a, pts[j0 : j0 + 2048])
-        mask = key[j0 : j0 + 2048][None, :] > ka[:, None]
-        d2 = np.where(mask, d2, np.inf)
-        bi = np.argmin(d2, axis=1)
-        bv = d2[np.arange(len(ids)), bi]
-        upd = bv < best
-        best[upd] = bv[upd]
-        besti[upd] = j0 + bi[upd]
+    best, besti = nearest_higher(pts[ids], key[ids], pts, key)
     return pd.DataFrame(
         {
             "id": ids.astype(np.int64),
             "delta": np.sqrt(best),
             "dep": besti,
-            "nde": n,  # each refined point scans the whole of P
+            "nde": len(pts),  # each refined point scans the whole of P
         }
     )
 
@@ -174,20 +155,15 @@ def lsh_ddp(
 
     # Phase ρ: per-bucket local densities; aggregate by max over tables.
     t1 = time.perf_counter()
-    shared = Shared(
-        {"pts": points, "dcut2": params.d_cut**2, "layouts": layouts}, spark
+    out = fan_out(
+        spark,
+        _rho_kernel,
+        items,
+        "id long, rho long, nde long",
+        {"pts": points, "dcut2": params.d_cut**2, "layouts": layouts},
+        costs=costs,
+        n_tasks=n_tasks,
     )
-    try:
-        out = run_tasks(
-            spark,
-            lambda it: _rho_kernel(it, shared),
-            items,
-            "id long, rho long, nde long",
-            costs=costs,
-            n_tasks=n_tasks,
-        )
-    finally:
-        shared.destroy()
     rho = np.zeros(n, dtype=np.int64)
     np.maximum.at(rho, out["id"].to_numpy(), out["rho"].to_numpy())
     nde = int(out["nde"].sum())
@@ -195,18 +171,15 @@ def lsh_ddp(
 
     # Phase δ: per-bucket candidates against aggregated densities.
     key = rho + jitter
-    shared = Shared({"pts": points, "key": key, "layouts": layouts}, spark)
-    try:
-        out = run_tasks(
-            spark,
-            lambda it: _delta_kernel(it, shared),
-            items,
-            "id long, delta double, dep long, nde long",
-            costs=costs,
-            n_tasks=n_tasks,
-        )
-    finally:
-        shared.destroy()
+    out = fan_out(
+        spark,
+        _delta_kernel,
+        items,
+        "id long, delta double, dep long, nde long",
+        {"pts": points, "key": key, "layouts": layouts},
+        costs=costs,
+        n_tasks=n_tasks,
+    )
     nde += int(out["nde"].sum())
     delta = np.full(n, np.inf)
     dep = np.full(n, -1, dtype=np.int64)
@@ -227,17 +200,14 @@ def lsh_ddp(
     global_peak = int(np.argmax(key))
     needs = needs[needs != global_peak]
     if len(needs):
-        shared = Shared({"pts": points, "key": key}, spark)
-        try:
-            ref = run_tasks(
-                spark,
-                lambda it: _refine_kernel(it, shared),
-                pd.DataFrame({"id": needs.astype(np.int64)}),
-                "id long, delta double, dep long, nde long",
-                n_tasks=n_tasks,
-            )
-        finally:
-            shared.destroy()
+        ref = fan_out(
+            spark,
+            _refine_kernel,
+            pd.DataFrame({"id": needs.astype(np.int64)}),
+            "id long, delta double, dep long, nde long",
+            {"pts": points, "key": key},
+            n_tasks=n_tasks,
+        )
         rid = ref["id"].to_numpy()
         delta[rid] = ref["delta"].to_numpy()
         dep[rid] = ref["dep"].to_numpy()

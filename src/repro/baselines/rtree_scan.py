@@ -10,13 +10,12 @@ from repro.core.labels import finalize
 from repro.core.scan import delta_scan
 from repro.core.types import DPCParams, DPCResult, check_points, tiebreak
 from repro.index.rtree import RTree
-from repro.par.spark_map import Shared, run_tasks
+from repro.par.spark_map import fan_out
 
 __all__ = ["rtree_scan_dpc"]
 
 
-def _rho_kernel(items: pd.DataFrame, shared: Shared) -> pd.DataFrame:
-    p = shared.get()
+def _rho_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
     tree: RTree = p["tree"]
     pts, d_cut = p["pts"], p["d_cut"]
     ids = items["id"].to_numpy()
@@ -46,17 +45,14 @@ def rtree_scan_dpc(
     t_build = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    shared = Shared({"tree": tree, "pts": points, "d_cut": params.d_cut}, spark)
-    try:
-        out = run_tasks(
-            spark,
-            lambda it: _rho_kernel(it, shared),
-            pd.DataFrame({"id": np.arange(n, dtype=np.int64)}),
-            "id long, rho long, nde long",
-            n_tasks=n_tasks,
-        )
-    finally:
-        shared.destroy()
+    out = fan_out(
+        spark,
+        _rho_kernel,
+        pd.DataFrame({"id": np.arange(n, dtype=np.int64)}),
+        "id long, rho long, nde long",
+        {"tree": tree, "pts": points, "d_cut": params.d_cut},
+        n_tasks=n_tasks,
+    )
     rho = np.zeros(n, dtype=np.int64)
     rho[out["id"].to_numpy()] = out["rho"].to_numpy()
     nde = int(out["nde"].sum())

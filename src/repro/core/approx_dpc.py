@@ -27,13 +27,12 @@ from repro.core.labels import finalize
 from repro.core.types import DPCParams, DPCResult, check_points, tiebreak
 from repro.index.grid import UniformGrid, cell_side
 from repro.index.kdtree import KDTree
-from repro.par.spark_map import Shared, run_tasks
+from repro.par.spark_map import fan_out
 
 __all__ = ["approx_dpc", "joint_range_rho"]
 
 
-def _joint_kernel(items: pd.DataFrame, shared: Shared) -> pd.DataFrame:
-    p = shared.get()
+def _joint_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
     pts, tree, grid = p["pts"], p["tree"], p["grid"]
     jitter, d_cut = p["jitter"], p["d_cut"]
     dcut2 = d_cut * d_cut
@@ -77,10 +76,6 @@ def _joint_kernel(items: pd.DataFrame, shared: Shared) -> pd.DataFrame:
         a_ncells.extend(
             ncells.tolist() if j == kstar else None for j in range(m)
         )
-    if not a_id:
-        return pd.DataFrame(
-            columns=["id", "rho", "cell", "pstar", "nde", "ncells"]
-        )
     out = pd.DataFrame(
         {
             "id": np.concatenate(a_id),
@@ -108,23 +103,15 @@ def joint_range_rho(
 
     Returns (rho, pstar_of_cell, N dict cell->array, dist_evals).
     """
-    shared = Shared(
-        {"pts": points, "tree": tree, "grid": grid, "jitter": jitter, "d_cut": d_cut},
+    out = fan_out(
         spark,
+        _joint_kernel,
+        pd.DataFrame({"cell": np.arange(grid.m, dtype=np.int64)}),
+        "id long, rho long, cell long, pstar boolean, nde long, ncells array<long>",
+        {"pts": points, "tree": tree, "grid": grid, "jitter": jitter, "d_cut": d_cut},
+        costs=grid.member_counts().astype(np.float64),  # cost_range = |P(c)|
+        n_tasks=n_tasks,
     )
-    items = pd.DataFrame({"cell": np.arange(grid.m, dtype=np.int64)})
-    costs = grid.member_counts().astype(np.float64)  # cost_range = |P(c)|
-    try:
-        out = run_tasks(
-            spark,
-            lambda it: _joint_kernel(it, shared),
-            items,
-            "id long, rho long, cell long, pstar boolean, nde long, ncells array<long>",
-            costs=costs,
-            n_tasks=n_tasks,
-        )
-    finally:
-        shared.destroy()
     n = len(points)
     rho = np.zeros(n, dtype=np.int64)
     rho[out["id"].to_numpy()] = out["rho"].to_numpy()

@@ -30,13 +30,12 @@ from repro.core.distutil import paired_sq_dists
 from repro.core.labels import finalize
 from repro.core.types import DPCParams, DPCResult, check_points, tiebreak
 from repro.index.kdtree import IncrementalKDTree, KDTree
-from repro.par.spark_map import Shared, run_tasks
+from repro.par.spark_map import fan_out
 
 __all__ = ["ex_dpc", "rho_kdtree"]
 
 
-def _rho_kernel(items: pd.DataFrame, shared: Shared) -> pd.DataFrame:
-    p = shared.get()
+def _rho_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
     tree: KDTree = p["tree"]
     pts, bounds, d_cut = p["pts"], p["bounds"], p["d_cut"]
     a_id, a_rho, a_nde = [], [], []
@@ -65,18 +64,15 @@ def rho_kdtree(
     Returns (rho, dist_evals).
     """
     bounds = tree.leaf_bounds()
-    shared = Shared({"tree": tree, "pts": points, "bounds": bounds, "d_cut": d_cut}, spark)
-    try:
-        out = run_tasks(
-            spark,
-            lambda it: _rho_kernel(it, shared),
-            pd.DataFrame({"leaf": np.arange(len(bounds) - 1, dtype=np.int64)}),
-            "id long, rho long, nde long",
-            costs=np.diff(bounds),
-            n_tasks=n_tasks,
-        )
-    finally:
-        shared.destroy()
+    out = fan_out(
+        spark,
+        _rho_kernel,
+        pd.DataFrame({"leaf": np.arange(len(bounds) - 1, dtype=np.int64)}),
+        "id long, rho long, nde long",
+        {"tree": tree, "pts": points, "bounds": bounds, "d_cut": d_cut},
+        costs=np.diff(bounds),
+        n_tasks=n_tasks,
+    )
     rho = np.zeros(len(points), dtype=np.int64)
     rho[out["id"].to_numpy()] = out["rho"].to_numpy()
     return rho, int(out["nde"].sum())

@@ -31,13 +31,12 @@ from repro.core.labels import finalize
 from repro.core.types import DPCParams, DPCResult, check_points, tiebreak
 from repro.index.grid import UniformGrid, cell_side
 from repro.index.kdtree import KDTree
-from repro.par.spark_map import Shared, run_tasks
+from repro.par.spark_map import fan_out
 
 __all__ = ["s_approx_dpc"]
 
 
-def _pick_kernel(items: pd.DataFrame, shared: Shared) -> pd.DataFrame:
-    p = shared.get()
+def _pick_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
     pts, tree, cell_of, d_cut = p["pts"], p["tree"], p["cell_of"], p["d_cut"]
     picked, cells, offsets = p["picked"], p["cells"], p["offsets"]
     out: dict[str, list] = {"cell": [], "rho": [], "nde": [], "ncells": []}
@@ -101,7 +100,11 @@ def s_approx_dpc(
     leaf = np.searchsorted(bounds, pos[picked], side="right") - 1
     cells = np.argsort(leaf, kind="stable")
     offsets = np.flatnonzero(np.diff(leaf[cells], prepend=-1, append=-1))
-    shared = Shared(
+    out = fan_out(
+        spark,
+        _pick_kernel,
+        pd.DataFrame({"group": np.arange(len(offsets) - 1, dtype=np.int64)}),
+        "cell long, rho long, nde long, ncells array<long>",
         {
             "pts": points,
             "tree": tree,
@@ -111,19 +114,9 @@ def s_approx_dpc(
             "cells": cells,
             "offsets": offsets,
         },
-        spark,
+        costs=np.diff(offsets),
+        n_tasks=n_tasks,
     )
-    try:
-        out = run_tasks(
-            spark,
-            lambda it: _pick_kernel(it, shared),
-            pd.DataFrame({"group": np.arange(len(offsets) - 1, dtype=np.int64)}),
-            "cell long, rho long, nde long, ncells array<long>",
-            costs=np.diff(offsets),
-            n_tasks=n_tasks,
-        )
-    finally:
-        shared.destroy()
     out = out.sort_values("cell").reset_index(drop=True)
     rho_pick = out["rho"].to_numpy()
     neigh = [

@@ -3,12 +3,13 @@
 Local densities by a full linear scan per point; dependent points by a
 linear scan over higher-density points. Both phases are embarrassingly
 parallel: points are split into contiguous chunks, each chunk is a work
-item for :func:`repro.par.spark_map.run_tasks`, and the per-chunk kernel
+item for :func:`repro.par.spark_map.fan_out`, and the per-chunk kernel
 streams blockwise squared distances against the whole point set.
 
-The δ kernel (:func:`delta_scan_kernel`) is shared with the
-R-tree + Scan and CFSFDP-A baselines, which per the paper use Scan's
-dependent-point computation.
+The δ phase (:func:`delta_scan`) is shared with the R-tree + Scan and
+CFSFDP-A baselines, which per the paper use Scan's dependent-point
+computation; its blocked scan (:func:`nearest_higher`) also serves
+LSH-DDP's refinement.
 """
 from __future__ import annotations
 
@@ -20,9 +21,9 @@ import pandas as pd
 from repro.core.distutil import sq_dists
 from repro.core.labels import finalize
 from repro.core.types import DPCParams, DPCResult, check_points, tiebreak
-from repro.par.spark_map import Shared, run_tasks
+from repro.par.spark_map import fan_out
 
-__all__ = ["scan_dpc", "chunk_items", "delta_scan", "rho_scan"]
+__all__ = ["scan_dpc", "chunk_items", "delta_scan", "nearest_higher", "rho_scan"]
 
 _BLOCK = 2048  # inner blocking of the n axis, bounds temp memory
 
@@ -34,8 +35,28 @@ def chunk_items(n: int, chunk: int) -> pd.DataFrame:
     return pd.DataFrame({"start": starts, "end": ends})
 
 
-def _rho_scan_kernel(items: pd.DataFrame, shared: Shared) -> pd.DataFrame:
-    p = shared.get()
+def nearest_higher(
+    a: np.ndarray, ka: np.ndarray, pts: np.ndarray, key: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of ``a`` (keys ``ka``): squared distance and id of its
+    nearest point in ``pts`` with a higher ``key`` (inf and -1 if none),
+    scanning ``pts`` in blocks."""
+    m = len(a)
+    best = np.full(m, np.inf)
+    besti = np.full(m, -1, dtype=np.int64)
+    for j0 in range(0, len(pts), _BLOCK):
+        d2 = sq_dists(a, pts[j0 : j0 + _BLOCK])
+        mask = key[j0 : j0 + _BLOCK][None, :] > ka[:, None]
+        d2 = np.where(mask, d2, np.inf)
+        bi = np.argmin(d2, axis=1)
+        bv = d2[np.arange(m), bi]
+        upd = bv < best
+        best[upd] = bv[upd]
+        besti[upd] = j0 + bi[upd]
+    return best, besti
+
+
+def _rho_scan_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
     pts, dcut2 = p["pts"], p["dcut2"]
     n = len(pts)
     out_id, out_rho = [], []
@@ -52,25 +73,11 @@ def _rho_scan_kernel(items: pd.DataFrame, shared: Shared) -> pd.DataFrame:
     )
 
 
-def _delta_scan_kernel(items: pd.DataFrame, shared: Shared) -> pd.DataFrame:
-    p = shared.get()
+def _delta_scan_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
     pts, key = p["pts"], p["key"]
-    n = len(pts)
     out = []
     for s, e in zip(items["start"].to_numpy(), items["end"].to_numpy()):
-        a = pts[s:e]
-        ka = key[s:e]
-        best = np.full(e - s, np.inf)
-        besti = np.full(e - s, -1, dtype=np.int64)
-        for j0 in range(0, n, _BLOCK):
-            d2 = sq_dists(a, pts[j0 : j0 + _BLOCK])
-            mask = key[j0 : j0 + _BLOCK][None, :] > ka[:, None]
-            d2 = np.where(mask, d2, np.inf)
-            bi = np.argmin(d2, axis=1)
-            bv = d2[np.arange(e - s), bi]
-            upd = bv < best
-            best[upd] = bv[upd]
-            besti[upd] = j0 + bi[upd]
+        best, besti = nearest_higher(pts[s:e], key[s:e], pts, key)
         out.append(
             pd.DataFrame(
                 {
@@ -92,17 +99,14 @@ def rho_scan(
     chunk: int = 2048,
 ) -> np.ndarray:
     """Parallel brute-force local densities (raw counts)."""
-    shared = Shared({"pts": points, "dcut2": d_cut * d_cut}, spark)
-    try:
-        out = run_tasks(
-            spark,
-            lambda it: _rho_scan_kernel(it, shared),
-            chunk_items(len(points), chunk),
-            "id long, rho long",
-            n_tasks=n_tasks,
-        )
-    finally:
-        shared.destroy()
+    out = fan_out(
+        spark,
+        _rho_scan_kernel,
+        chunk_items(len(points), chunk),
+        "id long, rho long",
+        {"pts": points, "dcut2": d_cut * d_cut},
+        n_tasks=n_tasks,
+    )
     rho = np.zeros(len(points), dtype=np.int64)
     rho[out["id"].to_numpy()] = out["rho"].to_numpy()
     return rho
@@ -118,17 +122,14 @@ def delta_scan(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Parallel brute-force (delta, dep) given jittered densities."""
     n = len(points)
-    shared = Shared({"pts": points, "key": key}, spark)
-    try:
-        out = run_tasks(
-            spark,
-            lambda it: _delta_scan_kernel(it, shared),
-            chunk_items(n, chunk),
-            "id long, delta double, dep long",
-            n_tasks=n_tasks,
-        )
-    finally:
-        shared.destroy()
+    out = fan_out(
+        spark,
+        _delta_scan_kernel,
+        chunk_items(n, chunk),
+        "id long, delta double, dep long",
+        {"pts": points, "key": key},
+        n_tasks=n_tasks,
+    )
     delta = np.full(n, np.inf)
     dep = np.full(n, -1, dtype=np.int64)
     ids = out["id"].to_numpy()

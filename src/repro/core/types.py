@@ -1,4 +1,4 @@
-"""Shared DPC types and conventions.
+"""Common DPC types and conventions.
 
 Conventions (identical across every algorithm in the repo — see
 DESIGN.md §3):

@@ -43,6 +43,7 @@ __all__ = [
     "table4",
     "table5",
     "table6",
+    "table6_row",
     "table7",
 ]
 
@@ -53,7 +54,7 @@ ALGORITHMS = {
     "CFSFDP-A": cfsfdp_a,
     "Ex-DPC": ex_dpc,
     "Approx-DPC": approx_dpc,
-    # S-Approx-DPC is dispatched explicitly (needs eps)
+    "S-Approx-DPC": s_approx_dpc,
 }
 
 
@@ -239,37 +240,24 @@ def table5(
 # -- Tables 6 & 7: decomposed time and memory -------------------------------
 
 
-def _run_all(
-    ds: datasets.Dataset, params: DPCParams, *, spark=None
-) -> list[dict]:
-    out = []
-    for name, fn in ALGORITHMS.items():
-        res = fn(ds.points, params, spark=spark)
-        out.append(
-            {
-                "dataset": ds.name,
-                "algorithm": name,
-                "rho_s": res.timings.get("rho", np.nan),
-                "delta_s": res.timings.get("delta", np.nan),
-                "total_s": res.timings.get("total", np.nan),
-                "dist_evals": res.counters.get("dist_evals", np.nan),
-                "memory_mb": res.memory_bytes / 2**20,
-            }
-        )
-    eps = ds.eps_default
-    res = s_approx_dpc(ds.points, params, eps, spark=spark)
-    out.append(
-        {
-            "dataset": ds.name,
-            "algorithm": "S-Approx-DPC",
-            "rho_s": res.timings["rho"],
-            "delta_s": res.timings["delta"],
-            "total_s": res.timings["total"],
-            "dist_evals": res.counters["dist_evals"],
-            "memory_mb": res.memory_bytes / 2**20,
-        }
-    )
-    return out
+def table6_row(
+    ds: datasets.Dataset, params: DPCParams, algorithm: str, *, spark=None
+) -> dict:
+    """One Table 6 row: run ``ALGORITHMS[algorithm]`` on ``ds``.
+
+    S-Approx-DPC runs with the dataset's default ε.
+    """
+    opts = {"eps": ds.eps_default} if algorithm == "S-Approx-DPC" else {}
+    res = ALGORITHMS[algorithm](ds.points, params, spark=spark, **opts)
+    return {
+        "dataset": ds.name,
+        "algorithm": algorithm,
+        "rho_s": res.timings.get("rho", np.nan),
+        "delta_s": res.timings.get("delta", np.nan),
+        "total_s": res.timings.get("total", np.nan),
+        "dist_evals": res.counters.get("dist_evals", np.nan),
+        "memory_mb": res.memory_bytes / 2**20,
+    }
 
 
 def table6(
@@ -281,32 +269,14 @@ def table6(
 ) -> pd.DataFrame:
     """Decomposed ρ/δ computation time (and memory, feeding Table 7).
 
-    ``include`` restricts the algorithm set (used by the benchmarks to
-    time one algorithm at a time).
+    ``include`` restricts the algorithm set to some ``ALGORITHMS`` keys.
     """
     rows: list[dict] = []
     for name in dataset_names:
         ds = _scaled(name, scale)
         _, params = ground_truth(ds, spark=spark)
-        if include is None:
-            rows.extend(_run_all(ds, params, spark=spark))
-        else:
-            for alg in include:
-                if alg == "S-Approx-DPC":
-                    res = s_approx_dpc(ds.points, params, ds.eps_default, spark=spark)
-                else:
-                    res = ALGORITHMS[alg](ds.points, params, spark=spark)
-                rows.append(
-                    {
-                        "dataset": ds.name,
-                        "algorithm": alg,
-                        "rho_s": res.timings.get("rho", np.nan),
-                        "delta_s": res.timings.get("delta", np.nan),
-                        "total_s": res.timings.get("total", np.nan),
-                        "dist_evals": res.counters.get("dist_evals", np.nan),
-                        "memory_mb": res.memory_bytes / 2**20,
-                    }
-                )
+        for alg in ALGORITHMS if include is None else include:
+            rows.append(table6_row(ds, params, alg, spark=spark))
     return pd.DataFrame(rows)
 
 

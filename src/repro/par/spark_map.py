@@ -1,13 +1,20 @@
 """Spark task fan-out: the multicore substrate (DESIGN.md §2).
 
-Every parallel phase of every algorithm is expressed as
+Every parallel phase of every algorithm is one call
 
-    run_tasks(spark, kernel, items, out_schema, costs=...)
+    fan_out(spark, kernel, items, out_schema, payload, costs=...)
 
 where ``items`` is a pandas DataFrame of work descriptors (point ids,
-cell ids, chunk ranges). Items are grouped into cost-balanced task
-groups with Graham's greedy LPT (``par.partition``), and the non-empty
-groups run as one ``sc.parallelize(groups, len(groups)).map(kernel)``
+cell ids, chunk ranges) and ``payload`` the phase's read-only data
+(points, kd-trees, grids). ``kernel(items, payload)`` is a pure function
+returning a pandas DataFrame. The payload is broadcast once per phase
+(:class:`Shared`), so it ships to each executor once, not once per task,
+and the broadcast is destroyed when the phase ends, driver-side pickle
+file included.
+
+Under ``fan_out``, :func:`run_tasks` groups the items into cost-balanced
+task groups with Graham's greedy LPT (``par.partition``), and the
+non-empty groups run as one ``sc.parallelize(groups, len(groups)).map``
 stage: one partition, hence one Spark task, per group. With the default
 of ``defaultParallelism`` groups that is one wave of tasks over the
 local[*] cores. The groups are fixed on the driver, so there is no
@@ -18,12 +25,9 @@ tasks costs about 0.25 s of scheduling and worker round trips, more
 than the imbalance it removes: LPT with unit costs deals items out
 round-robin, so the groups of a ρ stage are already even.
 
-Read-only payloads (points, kd-trees, grids) ride along as Spark
-broadcasts via :class:`Shared`.
-
-With ``spark=None`` the kernel runs once on the driver over all items —
-the serial mode used by unit tests and serial-vs-parallel equality
-tests. Kernels therefore must be pure functions of (items, payload).
+With ``spark=None`` the kernel runs once on the driver over all items,
+with the payload itself — the serial mode used by unit tests and
+serial-vs-parallel equality tests.
 """
 from __future__ import annotations
 
@@ -32,7 +36,7 @@ import pandas as pd
 
 from repro.par.partition import lpt_assign
 
-__all__ = ["Shared", "run_tasks"]
+__all__ = ["Shared", "fan_out", "run_tasks"]
 
 
 class Shared:
@@ -54,8 +58,9 @@ class Shared:
         return self._bc.value if self._bc is not None else self._payload
 
     def destroy(self) -> None:
+        """Drop the broadcast everywhere, its driver-side pickle file too."""
         if self._bc is not None:
-            self._bc.unpersist()
+            self._bc.destroy()
 
 
 def run_tasks(
@@ -92,3 +97,29 @@ def run_tasks(
     if missing:
         raise ValueError(f"kernel output lacks columns {missing} of {out_schema!r}")
     return out[columns]
+
+
+def fan_out(
+    spark,
+    kernel,
+    items: pd.DataFrame,
+    out_schema: str,
+    payload,
+    *,
+    costs: np.ndarray | None = None,
+    n_tasks: int | None = None,
+) -> pd.DataFrame:
+    """One parallel phase: :func:`run_tasks` over ``kernel(items, payload)``,
+    with ``payload`` broadcast for the phase and destroyed after it."""
+    shared = Shared(payload, spark)
+    try:
+        return run_tasks(
+            spark,
+            lambda group: kernel(group, shared.get()),
+            items,
+            out_schema,
+            costs=costs,
+            n_tasks=n_tasks,
+        )
+    finally:
+        shared.destroy()

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from repro.core.reference import brute_dpc
-from repro.core.scan import chunk_items, scan_dpc
+from repro.core.distutil import sq_dists
+from repro.core.scan import chunk_items, nearest_higher, scan_dpc
 from repro.core.types import DPCParams
 from tests.conftest import make_blobs
 
@@ -33,6 +34,21 @@ def test_chunking_invariant(chunk):
     assert np.array_equal(res.rho, base.rho)
     assert np.allclose(res.delta, base.delta)
     assert np.array_equal(res.labels, base.labels)
+
+
+def test_nearest_higher_matches_brute_force():
+    """The blocked scan across several blocks equals one masked argmin;
+    the point of highest key has no higher point (inf, -1)."""
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(0, 100, (5000, 2))
+    key = rng.permutation(5000).astype(np.float64)
+    qids = np.concatenate([rng.choice(5000, 40, replace=False), [int(np.argmax(key))]])
+    best, besti = nearest_higher(pts[qids], key[qids], pts, key)
+    d2 = np.where(key[None, :] > key[qids][:, None], sq_dists(pts[qids], pts), np.inf)
+    want = np.argmin(d2, axis=1)
+    assert np.array_equal(best[:-1], d2[np.arange(40), want[:-1]])
+    assert np.array_equal(besti[:-1], want[:-1])
+    assert best[-1] == np.inf and besti[-1] == -1
 
 
 def test_chunk_items_covers_range():

@@ -1,6 +1,8 @@
 """Serial (driver) vs Spark-parallel equality for every algorithm, plus
-run_tasks/Shared substrate behaviour under Spark."""
+fan_out/run_tasks/Shared substrate behaviour under Spark."""
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pandas as pd
@@ -14,7 +16,7 @@ from repro.core.exdpc import ex_dpc
 from repro.core.s_approx_dpc import s_approx_dpc
 from repro.core.scan import scan_dpc
 from repro.core.types import DPCParams
-from repro.par.spark_map import Shared, run_tasks
+from repro.par.spark_map import Shared, fan_out, run_tasks
 from tests.conftest import make_blobs
 
 ALGOS = [
@@ -86,6 +88,46 @@ def test_caller_session_not_mutated(spark, data):
     assert snapshot() == before, "s_approx_dpc"
 
 
+def _driver_temp_files(spark) -> int:
+    return len(os.listdir(spark.sparkContext._temp_dir))
+
+
+def test_broadcasts_leave_no_driver_files(spark, data):
+    """Each phase's payload broadcast is destroyed with its pickle file on
+    the driver, so the driver's temp dir does not grow call by call."""
+    pts, params = data
+    before = _driver_temp_files(spark)
+    ex_dpc(pts, params, spark=spark)
+    approx_dpc(pts, params, spark=spark)
+    s_approx_dpc(pts, params, 1.0, spark=spark)
+    assert _driver_temp_files(spark) == before
+
+
+@pytest.mark.parametrize(
+    "fn,args",
+    [(ex_dpc, ()), (approx_dpc, ()), (s_approx_dpc, (1.0,))],
+    ids=["ex_dpc", "approx_dpc", "s_approx_dpc"],
+)
+def test_benchmark_tracer_sees_every_phase(spark, data, fn, args):
+    """The benchmark's tracer patches ``run_tasks`` and ``Shared``: every
+    Spark stage must pair with one broadcast span and report task spans,
+    and the traced serial pass must give the Spark labels."""
+    from dpcbench.spans import Recorder, Tracer
+
+    pts, params = data
+    rec = Recorder()
+    with Tracer(rec) as tracer:
+        par = fn(pts, params, *args, spark=spark)
+    names = [rec.names[span[0]] for span in rec.spans]
+    assert len(tracer.stages) >= 1
+    assert names.count("par.spark_map:broadcast") == len(tracer.stages)
+    assert names.count("kernel:task") >= len(tracer.stages)
+    srec = Recorder()
+    with Tracer(srec):
+        ser = fn(pts, params, *args)
+    assert np.array_equal(ser.labels, par.labels)
+
+
 def _assert_same_run(base, res):
     assert np.array_equal(base.labels, res.labels)
     assert np.array_equal(base.delta, res.delta)
@@ -106,6 +148,38 @@ def test_s_approx_task_count_invariant(spark, data, n_tasks):
     pts, params = data
     base = s_approx_dpc(pts, params, 0.4)
     _assert_same_run(base, s_approx_dpc(pts, params, 0.4, spark=spark, n_tasks=n_tasks))
+
+
+class TestFanOut:
+    def test_serial_passes_payload_itself(self):
+        payload = {"k": 3}
+        seen = []
+
+        def kernel(items, p):
+            seen.append(p)
+            return items
+
+        fan_out(None, kernel, pd.DataFrame({"x": np.arange(4)}), "x long", payload)
+        assert len(seen) == 1 and seen[0] is payload
+
+    def test_parallel_equals_serial(self, spark):
+        def kernel(items, payload):
+            return items.assign(out=items["x"] * payload["k"])
+
+        items = pd.DataFrame({"x": np.arange(50, dtype=np.int64)})
+        serial = fan_out(None, kernel, items, "x long, out long", {"k": 3})
+        par = fan_out(spark, kernel, items, "x long, out long", {"k": 3}, n_tasks=3)
+        par = par.sort_values("x").reset_index(drop=True)
+        pd.testing.assert_frame_equal(par, serial)
+
+    def test_broadcast_destroyed_when_kernel_fails(self, spark):
+        def kernel(items, payload):
+            raise RuntimeError("kernel failure")
+
+        before = _driver_temp_files(spark)
+        with pytest.raises(Exception, match="kernel failure"):
+            fan_out(spark, kernel, pd.DataFrame({"x": np.arange(8)}), "x long", {"k": 1})
+        assert _driver_temp_files(spark) == before
 
 
 class TestRunTasks:
