@@ -1,18 +1,22 @@
 """Approx-DPC (§4): joint range search + cell-based dependent approximation.
 
 Exact local densities for every point (so Theorem 4's cluster-center
-guarantee holds), computed per-cell: a single kd-tree range search at
-the cell center with radius ``d_cut + max_p dist(cp, p)`` yields a
-superset of every member's ball, which is then scanned vectorised. Cell
-statistics (p*(c), N(c)) fall out of the same pass.
+guarantee holds), from joint range searches: the members of a group of
+cells share one kd-tree walk over their bounding box widened by d_cut
+(``KDTree.range_block``) and one vectorised distance scan. A group is
+the cells whose lowest-id members lie in the same kd-tree leaf, so
+neighbouring cells share a walk; it is one LPT work item, weighed by
+its point count Σ|P(c)|, and never split across tasks. Cell statistics
+(p*(c), and N(c) from p*(c)'s row of the scan) fall out of the same pass.
 
 Dependent points: O(1) approximation inside the grid — a non-maximal
 point depends on its cell's density maximum p*(c) with distance set to
 ``d_cut``; a cell maximum depends on p*(c') of a neighbouring cell
-c' ∈ N(c) whose *minimum* density exceeds its own. The remaining points
-P' get exact dependent points via the density-sorted subset machinery
-(``core.depexact``). Both the per-cell ρ phase (cost |P(c)|) and the P'
-phase (paper's cost_dep model) are LPT-balanced Spark stages.
+c' ∈ N(c) whose *minimum* density exceeds its own (array operations on
+the driver). The remaining points P' get exact dependent points via the
+density-sorted subset machinery (``core.depexact``), in blocks of
+queries. Both the ρ phase and the P' phase (paper's cost_dep model) are
+LPT-balanced Spark stages.
 """
 from __future__ import annotations
 
@@ -22,7 +26,6 @@ import numpy as np
 import pandas as pd
 
 from repro.core.depexact import exact_dependent, solve_s
-from repro.core.distutil import sq_dists
 from repro.core.labels import finalize
 from repro.core.types import DPCParams, DPCResult, check_points, tiebreak
 from repro.index.grid import UniformGrid, cell_side
@@ -33,60 +36,43 @@ __all__ = ["approx_dpc", "joint_range_rho"]
 
 
 def _joint_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
-    pts, tree, grid = p["pts"], p["tree"], p["grid"]
+    pts, tree, cell_of, m = p["pts"], p["tree"], p["cell_of"], p["m"]
     jitter, d_cut = p["jitter"], p["d_cut"]
-    dcut2 = d_cut * d_cut
-    # Accumulate plain arrays; build a single DataFrame at the end — a
-    # pandas frame per cell dominates runtime when cells are small.
-    a_id: list[np.ndarray] = []
-    a_rho: list[np.ndarray] = []
-    a_cell: list[np.ndarray] = []
-    a_pstar: list[np.ndarray] = []
-    a_nde: list[np.ndarray] = []
-    a_ncells: list = []
-    for c in items["cell"].to_numpy():
-        c = int(c)
-        mem = grid.members(c)
-        cp = grid.centers[c]
-        d2cp = sq_dists(cp[None, :], pts[mem])[0]
-        rmax = float(np.sqrt(d2cp.max()))
-        before = tree.dist_evals
-        R = tree.range_query(cp, d_cut + rmax)
-        nde_q = tree.dist_evals - before
-        # Exact densities of every member by scanning the joint result.
-        d2 = sq_dists(pts[mem], pts[R])
-        within = d2 < dcut2
-        rho = within.sum(axis=1).astype(np.int64) - 1  # self is in R
-        key = rho + jitter[mem]
-        kstar = int(np.argmax(key))
-        # N(c): cells of points within d_cut of p*(c), own cell excluded.
-        near = R[within[kstar]]
-        ncells = np.unique(grid.cell_of[near])
-        ncells = ncells[ncells != c]
-        m = len(mem)
-        a_id.append(mem.astype(np.int64))
+    mem, cb, gb = p["mem"], p["cb"], p["gb"]
+    a_id, a_rho, a_pstar, a_nde, a_nbr = [], [], [], [], []
+    for g in items["group"].to_numpy():
+        runs = cb[gb[g] : gb[g + 1] + 1]  # member runs of the group's cells
+        ids = mem[runs[0] : runs[-1]]
+        cand, within = tree.range_block(pts[ids], d_cut)
+        rho = np.count_nonzero(within, axis=1) - 1  # exclude self
+        # p*(c): the first member of highest key in each cell's run
+        starts = runs[:-1] - runs[0]
+        cell = np.repeat(np.arange(len(starts)), np.diff(runs))
+        top = np.lexsort((-(rho + jitter[ids]), cell))[starts]
+        pstar = np.zeros(len(ids), dtype=bool)
+        pstar[top] = True
+        # N(c): cells of the points within d_cut of p*(c), own cell
+        # excluded, as codes c * m + c2 on the group's first row
+        r, k = np.nonzero(within[top])
+        c, c2 = cell_of[ids[top]][r], cell_of[cand[k]]
+        nbr = np.full(len(ids), None, dtype=object)
+        nbr[0] = np.unique(c[c != c2] * m + c2[c != c2])
+        nde = np.zeros(len(ids), dtype=np.int64)
+        nde[0] = within.size
+        a_id.append(ids)
         a_rho.append(rho)
-        a_cell.append(np.full(m, c, dtype=np.int64))
-        ps = np.zeros(m, dtype=bool)
-        ps[kstar] = True
-        a_pstar.append(ps)
-        nde = np.zeros(m, dtype=np.int64)
-        nde[0] = nde_q + within.size
+        a_pstar.append(pstar)
         a_nde.append(nde)
-        a_ncells.extend(
-            ncells.tolist() if j == kstar else None for j in range(m)
-        )
-    out = pd.DataFrame(
+        a_nbr.append(nbr)
+    return pd.DataFrame(
         {
             "id": np.concatenate(a_id),
             "rho": np.concatenate(a_rho),
-            "cell": np.concatenate(a_cell),
             "pstar": np.concatenate(a_pstar),
             "nde": np.concatenate(a_nde),
+            "nbr": np.concatenate(a_nbr),
         }
     )
-    out["ncells"] = pd.Series(a_ncells, dtype=object)
-    return out
 
 
 def joint_range_rho(
@@ -99,32 +85,41 @@ def joint_range_rho(
     spark=None,
     n_tasks: int | None = None,
 ):
-    """Per-cell joint range searches.
+    """Joint range searches, one per group of cells whose lowest-id
+    members lie in the same kd-tree leaf.
 
-    Returns (rho, pstar_of_cell, N dict cell->array, dist_evals).
+    Returns (rho, pstar_of_cell, (c, c2), dist_evals), where the pairs
+    ``(c[k], c2[k])`` list N(c) of every cell c: the cells c2 != c that
+    hold a point within d_cut of p*(c).
     """
+    order, gb = tree.leaf_groups(grid.lowest_members())  # cells by leaf
+    mem, cb = grid.members_of(order)
     out = fan_out(
         spark,
         _joint_kernel,
-        pd.DataFrame({"cell": np.arange(grid.m, dtype=np.int64)}),
-        "id long, rho long, cell long, pstar boolean, nde long, ncells array<long>",
-        {"pts": points, "tree": tree, "grid": grid, "jitter": jitter, "d_cut": d_cut},
-        costs=grid.member_counts().astype(np.float64),  # cost_range = |P(c)|
+        pd.DataFrame({"group": np.arange(len(gb) - 1, dtype=np.int64)}),
+        "id long, rho long, pstar boolean, nde long, nbr array<long>",
+        {
+            "pts": points,
+            "tree": tree,
+            "cell_of": grid.cell_of,
+            "m": grid.m,
+            "jitter": jitter,
+            "d_cut": d_cut,
+            "mem": mem,
+            "cb": cb,
+            "gb": gb,
+        },
+        costs=np.diff(cb[gb]).astype(np.float64),  # cost_range = Σ|P(c)|
         n_tasks=n_tasks,
     )
-    n = len(points)
-    rho = np.zeros(n, dtype=np.int64)
+    rho = np.zeros(len(points), dtype=np.int64)
     rho[out["id"].to_numpy()] = out["rho"].to_numpy()
+    pstar = out["id"].to_numpy()[out["pstar"].to_numpy()]
     pstar_of_cell = np.full(grid.m, -1, dtype=np.int64)
-    neigh: dict[int, np.ndarray] = {}
-    prows = out[out["pstar"]]
-    for c, pid, nc in zip(
-        prows["cell"].to_numpy(), prows["id"].to_numpy(), prows["ncells"]
-    ):
-        c = int(c)
-        pstar_of_cell[c] = int(pid)
-        neigh[c] = np.asarray(nc if nc is not None else [], dtype=np.int64)
-    return rho, pstar_of_cell, neigh, int(out["nde"].sum())
+    pstar_of_cell[grid.cell_of[pstar]] = pstar
+    code = np.concatenate(out["nbr"].dropna().tolist()).astype(np.int64)
+    return rho, pstar_of_cell, np.divmod(code, grid.m), int(out["nde"].sum())
 
 
 def approx_dpc(
@@ -147,7 +142,7 @@ def approx_dpc(
     t_build = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    rho, pstar_of_cell, neigh, nde_rho = joint_range_rho(
+    rho, pstar_of_cell, (c, c2), nde_rho = joint_range_rho(
         points, tree, grid, jitter, params.d_cut, spark=spark, n_tasks=n_tasks
     )
     t2 = time.perf_counter()
@@ -165,20 +160,15 @@ def approx_dpc(
     dep[nonmax] = pstar_arr[nonmax]
     delta[nonmax] = params.d_cut
     # Rule 2: a cell maximum depends on p*(c') for c' in N(c) with
-    # min density of c' above its own; undecided ones go to P'.
-    undecided = []
-    for c in range(grid.m):
-        p = int(pstar_of_cell[c])
-        kp = key[p]
-        cand = neigh.get(c, np.empty(0, dtype=np.int64))
-        ok = cand[minkey[cand] > kp]
-        if len(ok):
-            c2 = int(ok[0])  # deterministic arbitrary choice
-            dep[p] = int(pstar_of_cell[c2])
-            delta[p] = params.d_cut
-        else:
-            undecided.append(p)
-    pprime = np.asarray(undecided, dtype=np.int64)
+    # min density of c' above its own (the smallest such c', a
+    # deterministic arbitrary choice); undecided ones go to P'.
+    ok = minkey[c2] > key[pstar_of_cell[c]]
+    choice = np.full(grid.m, grid.m)
+    np.minimum.at(choice, c[ok], c2[ok])
+    decided = choice < grid.m
+    dep[pstar_of_cell[decided]] = pstar_of_cell[choice[decided]]
+    delta[pstar_of_cell[decided]] = params.d_cut
+    pprime = pstar_of_cell[~decided]
     # Exact dependent points for P'.
     dx, px, nde_dep = exact_dependent(
         points, key, pprime, s=s, spark=spark, n_tasks=n_tasks, leaf_size=leaf_size

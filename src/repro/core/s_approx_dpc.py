@@ -87,19 +87,14 @@ def s_approx_dpc(
     grid = UniformGrid(points, cell_side(params.d_cut, d, eps))
     m = grid.m
     # deterministic sample: the smallest point id in each cell
-    picked = np.array([int(grid.members(c)[0]) for c in range(m)], dtype=np.int64)
+    picked = grid.lowest_members()
     t_build = time.perf_counter() - t0
 
     # ρ phase: the picked points grouped by the kd-tree leaf that holds
     # them, one block range search per group. A group is one work item,
     # never split across tasks, so dist_evals does not depend on n_tasks.
     t1 = time.perf_counter()
-    bounds = tree.leaf_bounds()
-    pos = np.empty(n, dtype=np.int64)
-    pos[tree.perm] = np.arange(n)  # position of each point in the leaf order
-    leaf = np.searchsorted(bounds, pos[picked], side="right") - 1
-    cells = np.argsort(leaf, kind="stable")
-    offsets = np.flatnonzero(np.diff(leaf[cells], prepend=-1, append=-1))
+    cells, offsets = tree.leaf_groups(picked)
     out = fan_out(
         spark,
         _pick_kernel,

@@ -25,7 +25,8 @@ class UniformGrid:
     ----------
     cell_of : (n,) int64 — cell index of each point.
     m : number of non-empty cells.
-    members(c) : point ids in cell ``c`` (ascending).
+    members(c) : point ids in cell ``c`` (ascending); ``members_of`` for
+        several cells at once, ``lowest_members`` for the first of each.
     centers : (m, d) cell center coordinates.
     """
 
@@ -51,6 +52,18 @@ class UniformGrid:
     def members(self, c: int) -> np.ndarray:
         s, e = self._offsets[c], self._offsets[c + 1]
         return self._order[s:e]
+
+    def lowest_members(self) -> np.ndarray:
+        """The lowest point id of every cell, by cell."""
+        return self._order[self._offsets[:-1]]
+
+    def members_of(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Members of ``cells``, concatenated in the given order, and the run
+        bounds ``b``: cell ``cells[k]``'s members are ``ids[b[k]:b[k + 1]]``."""
+        counts = np.diff(self._offsets)[cells]
+        b = np.concatenate([[0], np.cumsum(counts)])
+        idx = np.arange(b[-1]) + np.repeat(self._offsets[cells] - b[:-1], counts)
+        return self._order[idx], b
 
     def member_counts(self) -> np.ndarray:
         return np.diff(self._offsets)

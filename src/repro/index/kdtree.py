@@ -7,12 +7,17 @@ Two variants, matching how the paper uses them:
   searches (Approx-DPC's per-subset trees). Median split on the widest
   dimension, points permuted into contiguous leaf slices so leaf scans
   are numpy-vectorised; internal traversal is Python-level with
-  split-plane pruning. There is one walk per query kind: every range
-  search goes through :meth:`KDTree.range_block`, which serves a whole
-  block of queries (typically the points of one leaf) with one walk over
-  the block's bounding box and one ``sq_dists`` call — a single query is
-  a block of one — and every NN search through
-  :meth:`KDTree.nn_with_bound`.
+  split-plane pruning. Every search the algorithms run goes through one
+  walk, :meth:`KDTree.box`: the points of every leaf whose region meets
+  a box. They use it for whole blocks of queries at once —
+  :meth:`KDTree.range_block` serves a block (typically the points of one
+  leaf) with one walk over the block's bounding box and one ``sq_dists``
+  call, and ``core.depexact`` walks each subset tree once per block of
+  queries, over the block's box widened by its NN bounds. The one-query methods
+  ``range_count`` / ``range_query`` (one-row blocks), ``nn`` and
+  ``nn_with_bound`` (a bounded depth-first NN walk) stay only as the
+  single-query API that the tests pin and the benchmark's tracer
+  (``dpcbench/spans.py``) wraps by name; no algorithm calls them.
 
 * :class:`IncrementalKDTree` — pointer-based, supports one-by-one
   insertion with the axis cycling by depth. This is the structure
@@ -123,12 +128,28 @@ class KDTree:
         starts = sorted(s for ax, s in zip(self._axis, self._start) if ax < 0)
         return np.array(starts + [self.n], dtype=np.int64)
 
-    def _slices(self, lo: list, hi: list) -> list[tuple[int, int]]:
-        """Leaf slices of ``ppts`` whose region meets the box [lo, hi].
+    def leaf_groups(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of ``ids`` grouped by the leaf that holds each point.
 
-        Ascending, with adjacent slices merged. The pruning tests are those
-        of a ball query, so a box ``q ± r`` visits the leaves it would.
+        Returns ``(order, b)``: group ``k`` is ``ids[order[b[k]:b[k + 1]]]``,
+        groups in leaf order, positions ascending within a group.
         """
+        pos = np.empty(self.n, dtype=np.int64)
+        pos[self.perm] = np.arange(self.n)  # position in the leaf order
+        leaf = np.searchsorted(self.leaf_bounds(), pos[ids], side="right") - 1
+        order = np.argsort(leaf, kind="stable")
+        return order, np.flatnonzero(np.diff(leaf[order], prepend=-1, append=-1))
+
+    def box(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Points of the leaves whose region meets the box [lo, hi]: ``(ids, coords)``.
+
+        The walk behind every block search; the leaves come in ascending
+        ``ppts`` order. Its pruning tests are those of a ball query, so the box
+        ``q ± r`` visits the leaves that a search of radius ``r`` at ``q``
+        would. Every point ``p`` with ``lo < p <= hi`` on each axis is
+        returned.
+        """
+        lo, hi = lo.tolist(), hi.tolist()
         axis, split = self._axis, self._split
         left, right = self._left, self._right
         start, end = self._start, self._end
@@ -146,10 +167,13 @@ class KDTree:
                 continue
             s, e = start[nid], end[nid]
             if out and out[-1][1] == s:
-                out[-1] = (out[-1][0], e)
+                out[-1] = (out[-1][0], e)  # adjacent slices merged
             else:
                 out.append((s, e))
-        return out
+        return (
+            np.concatenate([self.perm[s:e] for s, e in out]),
+            np.concatenate([self.ppts[s:e] for s, e in out]),
+        )
 
     def range_block(self, Q: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
         """Range search for a block of queries ``Q`` ((b, d)) in one tree walk.
@@ -160,9 +184,7 @@ class KDTree:
         ``sq_dists(Q, points[ids]) < r * r`` (strict). Adds
         ``b * len(ids)`` to ``dist_evals``.
         """
-        slices = self._slices((Q.min(axis=0) - r).tolist(), (Q.max(axis=0) + r).tolist())
-        ids = np.concatenate([self.perm[s:e] for s, e in slices])
-        cand = np.concatenate([self.ppts[s:e] for s, e in slices])
+        ids, cand = self.box(Q.min(axis=0) - r, Q.max(axis=0) + r)
         self.dist_evals += len(Q) * len(ids)
         return ids, sq_dists(Q, cand) < r * r
 
@@ -188,8 +210,7 @@ class KDTree:
     ) -> tuple[int, float]:
         """NN search seeded with an upper bound ``best`` (exclusive).
 
-        Used by Approx-DPC's per-subset search: a point farther than the
-        best-so-far dependent candidate can never win, so whole subtrees
+        A point farther than the bound can never win, so whole subtrees
         are pruned. Id ``exclude`` (if >= 0) is never returned. Returns
         (-1, best) if nothing beats the bound.
         """

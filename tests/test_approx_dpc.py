@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from repro.core.approx_dpc import approx_dpc
+from repro.core.distutil import sq_dists
 from repro.core.exdpc import ex_dpc
 from repro.core.rand_index import rand_index
 from repro.core.reference import brute_dpc
 from repro.core.types import DPCParams, tiebreak
+from repro.index.grid import UniformGrid, cell_side
 from tests.conftest import make_blobs
 
 
@@ -42,7 +44,38 @@ def test_exact_delta_for_far_points():
     ref = brute_dpc(pts, params)
     res = approx_dpc(pts, params)
     exact_mask = ref.delta > params.d_cut
-    assert np.allclose(res.delta[exact_mask], ref.delta[exact_mask])
+    assert np.array_equal(res.delta[exact_mask], ref.delta[exact_mask])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cell_rules_match_brute_force(d):
+    """§4.3's O(1) rules, recomputed per cell by brute force: p*(c) is the
+    first member of highest key; a non-maximal point depends on p*(c) at
+    d_cut; p*(c) depends on p*(c') at d_cut for the smallest cell c' in
+    N(c) whose minimum key exceeds its own; otherwise it is in P' and
+    gets its exact dependent point."""
+    pts = make_blobs(n_per=150, k=3, d=d, n_noise=30, seed=11 + d)
+    params = DPCParams(d_cut=6.0)
+    res = approx_dpc(pts, params, leaf_size=8)
+    grid = UniformGrid(pts, cell_side(params.d_cut, d))
+    ref = brute_dpc(pts, params)
+    key = ref.rho + tiebreak(len(pts), params.seed)
+    d2 = sq_dists(pts, pts)
+    pstar = np.array([grid.members(c)[np.argmax(key[grid.members(c)])] for c in range(grid.m)])
+    minkey = np.array([key[grid.members(c)].min() for c in range(grid.m)])
+    n_pprime = 0
+    for c in range(grid.m):
+        p = pstar[c]
+        others = grid.members(c)[grid.members(c) != p]
+        assert np.all(res.dep[others] == p) and np.all(res.delta[others] == params.d_cut)
+        near = np.unique(grid.cell_of[d2[p] < params.d_cut**2])
+        ok = [c2 for c2 in near if c2 != c and minkey[c2] > key[p]]
+        if ok:
+            assert res.dep[p] == pstar[min(ok)] and res.delta[p] == params.d_cut
+        else:
+            n_pprime += 1
+            assert res.dep[p] == ref.dep[p] and res.delta[p] == ref.delta[p]
+    assert res.counters["n_pprime"] == n_pprime > 1
 
 
 def test_approx_delta_is_dcut():
@@ -82,11 +115,12 @@ def test_counters_and_memory():
 
 
 def test_joint_search_reduces_tree_traversals():
-    """§4.2: Approx-DPC replaces n per-point range searches by one joint
-    search per cell (far fewer tree traversals), and §4.3 resolves most
-    dependent points in O(1) so P' is small. The leaf-scan dist_evals
-    stay in the same ballpark (the trade is traversal overhead, not
-    distance evaluations)."""
+    """§4.2: Approx-DPC serves all members of a cell with one joint search
+    (here one walk per group of cells whose lowest-id members share a
+    kd-tree leaf, far fewer traversals than n per-point searches), and
+    §4.3 resolves most dependent points in O(1) so P' is small. The
+    dist_evals stay in the same ballpark as Ex-DPC's (the trade is
+    traversal overhead, not distance evaluations)."""
     pts = make_blobs(n_per=800, k=3, d=2, spread=3.0, n_noise=0, seed=8)
     n = len(pts)
     params = DPCParams(d_cut=6.0)

@@ -27,6 +27,16 @@ class TestGrid:
         all_ids = np.concatenate([g.members(c) for c in range(g.m)])
         assert sorted(all_ids.tolist()) == list(range(500))
 
+    def test_members_of_concatenates_members(self):
+        pts = _pts(300, 2, 3)
+        g = UniformGrid(pts, 9.0)
+        cells = np.random.default_rng(3).permutation(g.m)[: g.m // 2]
+        ids, b = g.members_of(cells)
+        assert len(b) == len(cells) + 1 and b[0] == 0
+        for k, c in enumerate(cells):
+            assert np.array_equal(ids[b[k] : b[k + 1]], g.members(c))
+        assert np.array_equal(g.lowest_members(), [g.members(c)[0] for c in range(g.m)])
+
     def test_cell_of_consistent_with_members(self):
         pts = _pts(300, 2, 1)
         g = UniformGrid(pts, 5.0)

@@ -225,6 +225,52 @@ class TestRangeBlock:
             assert t.dist_evals == want
 
 
+class TestBoxAndLeafGroups:
+    @pytest.mark.parametrize("leaf_size", [1, 4, 32])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_box_returns_every_point_inside(self, d, leaf_size):
+        """Every point with lo < p <= hi on each axis comes back, once,
+        with its own coordinates; boxes include ones whose faces pass
+        through data points."""
+        pts = np.round(_pts(400, d, seed=d), 0)  # many shared coordinates
+        t = KDTree(pts, leaf_size=leaf_size)
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            a, b = pts[rng.integers(0, 400, 2)]
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            ids, coords = t.box(lo, hi)
+            assert len(np.unique(ids)) == len(ids)
+            assert np.array_equal(coords, pts[ids])
+            inside = np.all((pts > lo) & (pts <= hi), axis=1)
+            assert set(np.flatnonzero(inside).tolist()) <= set(ids.tolist())
+
+    def test_box_leaves_ascend(self):
+        pts = _pts(300, 2, 6)
+        t = KDTree(pts, leaf_size=4)
+        ids, _ = t.box(np.array([20.0, 20.0]), np.array([60.0, 70.0]))
+        pos = np.empty(300, dtype=np.int64)
+        pos[t.perm] = np.arange(300)
+        assert np.all(np.diff(pos[ids]) > 0)
+
+    @pytest.mark.parametrize("leaf_size", [1, 8, 32])
+    def test_leaf_groups(self, leaf_size):
+        pts = _pts(500, 3, 7)
+        t = KDTree(pts, leaf_size=leaf_size)
+        ids = np.random.default_rng(7).choice(500, 120, replace=False)
+        order, b = t.leaf_groups(ids)
+        assert sorted(order.tolist()) == list(range(120))
+        assert b[0] == 0 and b[-1] == 120 and np.all(np.diff(b) >= 1)
+        lb = t.leaf_bounds()
+        pos = np.empty(500, dtype=np.int64)
+        pos[t.perm] = np.arange(500)
+        leaf = np.searchsorted(lb, pos[ids], side="right") - 1
+        for k in range(len(b) - 1):
+            g = order[b[k] : b[k + 1]]
+            assert np.all(np.diff(g) > 0)  # positions ascend within a group
+            assert len(np.unique(leaf[g])) == 1
+        assert np.all(np.diff(leaf[order[b[:-1]]]) > 0)  # groups in leaf order
+
+
 class TestHypothesis:
     @settings(max_examples=25, deadline=None)
     @given(

@@ -142,6 +142,15 @@ def test_task_count_invariant(spark, data, n_tasks):
 
 
 @pytest.mark.parametrize("n_tasks", [1, 3, 16])
+def test_approx_task_count_invariant(spark, data, n_tasks):
+    """Neither a joint-search group of cells nor a block of P' queries is
+    split across tasks, so not even dist_evals depends on the task count."""
+    pts, params = data
+    base = approx_dpc(pts, params)
+    _assert_same_run(base, approx_dpc(pts, params, spark=spark, n_tasks=n_tasks))
+
+
+@pytest.mark.parametrize("n_tasks", [1, 3, 16])
 def test_s_approx_task_count_invariant(spark, data, n_tasks):
     """A ρ work item (the picked points of one kd-tree leaf) is never split
     across tasks, so not even dist_evals depends on the task count."""
