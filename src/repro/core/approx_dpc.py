@@ -8,6 +8,9 @@ the cells whose lowest-id members lie in the same kd-tree leaf, so
 neighbouring cells share a walk; it is one LPT work item, weighed by
 its point count Σ|P(c)|, and never split across tasks. Cell statistics
 (p*(c), and N(c) from p*(c)'s row of the scan) fall out of the same pass.
+``joint_range_rho`` is the one cell-level range search of both grid
+algorithms: it takes the query points of each cell as data, every
+member here and the one picked point per cell in S-Approx-DPC.
 
 Dependent points: O(1) approximation inside the grid — a non-maximal
 point depends on its cell's density maximum p*(c) with distance set to
@@ -81,19 +84,22 @@ def joint_range_rho(
     grid: UniformGrid,
     jitter: np.ndarray,
     d_cut: float,
+    mem: np.ndarray,
+    cb: np.ndarray,
+    gb: np.ndarray,
     *,
     spark=None,
     n_tasks: int | None = None,
 ):
-    """Joint range searches, one per group of cells whose lowest-id
-    members lie in the same kd-tree leaf.
+    """Joint range searches over the query points of each cell.
 
-    Returns (rho, pstar_of_cell, (c, c2), dist_evals), where the pairs
-    ``(c[k], c2[k])`` list N(c) of every cell c: the cells c2 != c that
-    hold a point within d_cut of p*(c).
+    Cell run ``k`` is ``mem[cb[k]:cb[k + 1]]``; group ``g``, runs
+    ``gb[g]:gb[g + 1]``, is one kd-tree walk and one LPT work item.
+    Returns (rho, pstar_of_cell, (c, c2), dist_evals): ρ of each query (0
+    elsewhere), p*(c) (the first query of highest key in c), and pairs
+    ``(c[k], c2[k])`` listing N(c): the cells c2 != c that hold a point
+    within d_cut of p*(c).
     """
-    order, gb = tree.leaf_groups(grid.lowest_members())  # cells by leaf
-    mem, cb = grid.members_of(order)
     out = fan_out(
         spark,
         _joint_kernel,
@@ -142,8 +148,11 @@ def approx_dpc(
     t_build = time.perf_counter() - t0
 
     t1 = time.perf_counter()
+    order, gb = tree.leaf_groups(grid.lowest_members())  # cells by leaf
+    mem, cb = grid.members_of(order)
     rho, pstar_of_cell, (c, c2), nde_rho = joint_range_rho(
-        points, tree, grid, jitter, params.d_cut, spark=spark, n_tasks=n_tasks
+        points, tree, grid, jitter, params.d_cut, mem, cb, gb,
+        spark=spark, n_tasks=n_tasks,
     )
     t2 = time.perf_counter()
 

@@ -1,15 +1,19 @@
 """S-Approx-DPC (§5): grid sampling + cell-based clustering.
 
 A coarser grid G' (side ε·d_cut/√d) is built; one *picked* point per
-cell gets an exact density via a kd-tree range search (one search per
-cell — this is where the ε-for-speed trade comes from); every other
-point simply depends on its cell's picked point. The searches run in
-blocks: the picked points held by one kd-tree leaf share one tree walk
-(``KDTree.range_block``), and such a block is one LPT work item, weighed
-by its size. Picked points resolve their dependent points in two phases:
+cell (its lowest id) gets an exact density via a kd-tree range search
+(one search per cell — this is where the ε-for-speed trade comes from);
+every other point simply depends on its cell's picked point. The search
+is Approx-DPC's joint range search (``approx_dpc.joint_range_rho``) with
+one query per cell: the picked points held by one kd-tree leaf share
+one tree walk (``KDTree.range_block``), and such a group is one LPT work
+item, weighed by its size. The same pass gives N(c), the cells holding
+a point within d_cut of the picked point. Picked points resolve their
+dependent points in two phases:
 
-1. any picked point in a neighbouring cell (N(c)) with higher density —
-   approximate dependent distance bounded by (1+ε)·d_cut;
+1. the picked point of the cell in N(c) of highest density above its
+   own (array operations on the driver) — approximate dependent
+   distance set to (1+ε)·d_cut;
 2. the remaining roots P'_pick form temporal clusters from the phase-1
    forest and search each other with the triangle-inequality pruning of
    §5 (falling back to Approx-DPC's subset machinery when
@@ -23,34 +27,18 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import pandas as pd
 
+from repro.core.approx_dpc import joint_range_rho
 from repro.core.depexact import exact_dependent
 from repro.core.distutil import sq_dists
 from repro.core.labels import finalize
 from repro.core.types import DPCParams, DPCResult, check_points, tiebreak
 from repro.index.grid import UniformGrid, cell_side
 from repro.index.kdtree import KDTree
-from repro.par.spark_map import fan_out
 
 __all__ = ["s_approx_dpc"]
 
-
-def _pick_kernel(items: pd.DataFrame, p: dict) -> pd.DataFrame:
-    pts, tree, cell_of, d_cut = p["pts"], p["tree"], p["cell_of"], p["d_cut"]
-    picked, cells, offsets = p["picked"], p["cells"], p["offsets"]
-    out: dict[str, list] = {"cell": [], "rho": [], "nde": [], "ncells": []}
-    for g in items["group"].to_numpy():
-        block = cells[offsets[g] : offsets[g + 1]]
-        cand, within = tree.range_block(pts[picked[block]], d_cut)
-        cand_cells = cell_of[cand]
-        for c, row in zip(block.tolist(), within):
-            ncells = np.unique(cand_cells[row])
-            out["cell"].append(c)
-            out["rho"].append(int(np.count_nonzero(row)) - 1)  # exclude self
-            out["nde"].append(len(cand))
-            out["ncells"].append(ncells[ncells != c].tolist())
-    return pd.DataFrame(out)
+_FALLBACK_FACTOR = 16.0  # phase 2 falls back when |P'_pick|² > _FALLBACK_FACTOR · n
 
 
 def _temporal_roots(dep_local: np.ndarray) -> np.ndarray:
@@ -73,7 +61,6 @@ def s_approx_dpc(
     spark=None,
     n_tasks: int | None = None,
     leaf_size: int = 32,
-    fallback_factor: float = 16.0,
 ) -> DPCResult:
     """S-Approx-DPC with approximation parameter ``eps`` (> 0)."""
     if eps <= 0:
@@ -90,47 +77,26 @@ def s_approx_dpc(
     picked = grid.lowest_members()
     t_build = time.perf_counter() - t0
 
-    # ρ phase: the picked points grouped by the kd-tree leaf that holds
-    # them, one block range search per group. A group is one work item,
-    # never split across tasks, so dist_evals does not depend on n_tasks.
+    # ρ phase: Approx-DPC's joint range search with one query per cell,
+    # the picked points grouped by the kd-tree leaf that holds them.
     t1 = time.perf_counter()
-    cells, offsets = tree.leaf_groups(picked)
-    out = fan_out(
-        spark,
-        _pick_kernel,
-        pd.DataFrame({"group": np.arange(len(offsets) - 1, dtype=np.int64)}),
-        "cell long, rho long, nde long, ncells array<long>",
-        {
-            "pts": points,
-            "tree": tree,
-            "cell_of": grid.cell_of,
-            "d_cut": params.d_cut,
-            "picked": picked,
-            "cells": cells,
-            "offsets": offsets,
-        },
-        costs=np.diff(offsets),
-        n_tasks=n_tasks,
+    order, gb = tree.leaf_groups(picked)
+    rho, _, (c, c2), nde = joint_range_rho(
+        points, tree, grid, jitter, params.d_cut, picked[order], np.arange(m + 1), gb,
+        spark=spark, n_tasks=n_tasks,
     )
-    out = out.sort_values("cell").reset_index(drop=True)
-    rho_pick = out["rho"].to_numpy()
-    neigh = [
-        np.asarray(nc if nc is not None else [], dtype=np.int64)
-        for nc in out["ncells"]
-    ]
-    nde = int(out["nde"].sum())
+    rho_pick = rho[picked]
     t2 = time.perf_counter()
 
     key_pick = rho_pick + jitter[picked]
-    # Phase 1: approximate dependent point among neighbouring cells.
+    # Phase 1: each cell depends on the cell of highest key in N(c) above
+    # its own (the lowest such cell on equal keys).
+    up = key_pick[c2] > key_pick[c]
+    c, c2 = c[up], c2[up]
+    by_key = np.lexsort((c2, -key_pick[c2], c))
+    first = by_key[np.diff(c[by_key], prepend=-1) != 0]
     dep_local = np.full(m, -1, dtype=np.int64)  # cell -> cell of dependent
-    for c in range(m):
-        cand = neigh[c]
-        if len(cand) == 0:
-            continue
-        better = cand[key_pick[cand] > key_pick[c]]
-        if len(better):
-            dep_local[c] = int(better[np.argmax(key_pick[better])])
+    dep_local[c[first]] = c2[first]
 
     delta_pick = np.full(m, np.inf)
     delta_pick[dep_local >= 0] = (1.0 + eps) * params.d_cut
@@ -138,20 +104,18 @@ def s_approx_dpc(
 
     # Phase 2: dependent points of the roots P'_pick.
     ppts = points[picked]
-    if len(roots) ** 2 > fallback_factor * n:
+    if len(roots) ** 2 > _FALLBACK_FACTOR * n:
         # |P'_pick|² exceeds O(n): fall back to Approx-DPC's machinery
         # over the picked points.
         dx, px, nde2 = exact_dependent(
             ppts, key_pick, roots, spark=spark, n_tasks=n_tasks, leaf_size=leaf_size
         )
         nde += nde2
-        for c in roots:
-            if px[c] >= 0:
-                dep_local[c] = int(px[c])
-                delta_pick[c] = dx[c]
+        found = roots[px[roots] >= 0]
+        dep_local[found], delta_pick[found] = px[found], dx[found]
     else:
         cluster_of = _temporal_roots(dep_local)
-        rts = points[picked[roots]]
+        rts = ppts[roots]
         kroots = key_pick[roots]
         # radius r_i of each temporal cluster
         d2_to_root = sq_dists(ppts, ppts[roots])  # (m, |roots|) — ok, |roots| small
@@ -184,19 +148,12 @@ def s_approx_dpc(
                 delta_pick[c] = float(np.sqrt(best2))
     t3 = time.perf_counter()
 
-    # Expand to all points.
-    rho = np.zeros(n)
-    rho[picked] = rho_pick
-    nonpicked = np.ones(n, dtype=bool)
-    nonpicked[picked] = False
-    cell_all = grid.cell_of
-    rho[nonpicked] = rho_pick[cell_all[nonpicked]]
+    # Expand to all points: the others depend on their cell's picked point.
+    rho = rho_pick[grid.cell_of].astype(np.float64)
     delta = np.zeros(n)
     delta[picked] = delta_pick
-    dep = np.full(n, -1, dtype=np.int64)
-    has_dep = dep_local >= 0
-    dep[picked[has_dep]] = picked[dep_local[has_dep]]
-    dep[nonpicked] = picked[cell_all[nonpicked]]
+    dep = picked[grid.cell_of]
+    dep[picked] = np.where(dep_local >= 0, picked[dep_local], -1)
 
     centers, noise, labels = finalize(rho, delta, dep, params)
     t4 = time.perf_counter()

@@ -9,8 +9,9 @@ DESIGN.md §3):
   is a deterministic per-id value in (0, 1) seeded by ``params.seed``
   (the paper's "add a random value ∈ (0,1)" made reproducible, so
   Theorem 4 — identical cluster centers — is exactly testable).
-* ``dep`` is the dependent-point id, -1 for the global density peak
-  (whose ``delta`` is +inf).
+* ``dep`` is the dependent-point id: the lowest id among the nearest
+  points of higher key; -1 for the global density peak (whose ``delta``
+  is +inf).
 * noise: raw ``rho < rho_min``; center: non-noise and ``delta >=
   delta_min``; label -1 marks noise / unreachable points.
 """

@@ -312,7 +312,8 @@ class IncrementalKDTree:
             depth += 1
 
     def nn(self, q) -> tuple[int, float]:
-        """Nearest inserted point to ``q`` (length-d sequence).
+        """Nearest inserted point to ``q`` (length-d sequence); on equal
+        distances, the lowest id.
 
         Returns (point_id, distance); (-1, inf) if the tree is empty.
         """
@@ -327,7 +328,7 @@ class IncrementalKDTree:
         visits = 0
         while stack:
             node, depth, bound = stack.pop()
-            if bound >= best2:
+            if bound > best2:
                 continue
             while node >= 0:
                 c = cs[node]
@@ -336,7 +337,7 @@ class IncrementalKDTree:
                     t = q[k] - c[k]
                     s += t * t
                 visits += 1
-                if s < best2:
+                if s < best2 or (s == best2 and ids[node] < best_id):
                     best2 = s
                     best_id = ids[node]
                 ax = depth % d
@@ -347,7 +348,7 @@ class IncrementalKDTree:
                     near, far = right[node], left[node]
                 if far >= 0:
                     b2 = diff * diff
-                    if b2 < best2:
+                    if b2 <= best2:
                         stack.append((far, depth + 1, b2))
                 node = near
                 depth += 1

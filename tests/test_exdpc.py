@@ -68,8 +68,35 @@ def test_duplicate_points():
     ref = brute_dpc(pts, params)
     res = ex_dpc(pts, params)
     assert np.array_equal(res.rho, ref.rho)
-    # dep is not compared: copies of a point tie, and either may be chosen.
     assert np.array_equal(res.delta, ref.delta)
+    assert np.array_equal(res.dep, ref.dep)  # copies tie: the lowest id wins
+
+
+def _lattice(k, d):
+    return np.stack(np.meshgrid(*[np.arange(k)] * d), -1).reshape(-1, d).astype(np.float64)
+
+
+_TIED = {
+    "lattice-1d": _lattice(300, 1),
+    "lattice-2d": _lattice(17, 2),
+    "lattice-3d": _lattice(7, 3),
+    "collinear": np.arange(250)[:, None] * np.array([[1.0, 0.5]]),
+    "4-copies": np.repeat(np.random.default_rng(0).uniform(0, 10, (50, 2)), 4, axis=0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TIED))
+def test_ties_match_reference(name):
+    """Equal distances everywhere: dep is the lowest id among the nearest
+    higher-key points (DESIGN.md §3), as in the reference."""
+    pts = _TIED[name][np.random.default_rng(1).permutation(len(_TIED[name]))]
+    params = DPCParams(d_cut=1.5, delta_min=2.0)
+    ref = brute_dpc(pts, params)
+    res = ex_dpc(pts, params)
+    assert np.array_equal(res.rho, ref.rho)
+    assert np.array_equal(res.delta, ref.delta)
+    assert np.array_equal(res.dep, ref.dep)
+    assert np.array_equal(res.labels, ref.labels)
 
 
 def test_timings_present():

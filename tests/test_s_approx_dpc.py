@@ -4,10 +4,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.distutil import sq_dists
 from repro.core.rand_index import rand_index
 from repro.core.reference import brute_dpc
 from repro.core.s_approx_dpc import _temporal_roots, s_approx_dpc
-from repro.core.types import DPCParams
+from repro.core.types import DPCParams, tiebreak
 from repro.index.grid import UniformGrid, cell_side
 from tests.conftest import make_blobs
 
@@ -24,6 +25,44 @@ class TestTemporalRoots:
     def test_deep_chain(self):
         dep = np.array([-1] + list(range(0, 99)))
         assert np.all(_temporal_roots(dep) == 0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_phase1_matches_brute_force(d):
+    """§5's phase 1, recomputed per cell by brute force: the picked point
+    (lowest id) has its exact ρ; it depends on the picked point of the
+    cell of highest key in N(c) above its own (the lowest such cell on
+    equal keys) at exactly (1+ε)·d_cut; otherwise the cell is a root, and
+    phase 2 gives it the exact distance to the nearest higher-key picked
+    point."""
+    eps = 0.5
+    pts = make_blobs(n_per=150, k=3, d=d, n_noise=30, seed=21 + d)
+    params = DPCParams(d_cut=6.0)
+    res = s_approx_dpc(pts, params, eps, leaf_size=8)
+    grid = UniformGrid(pts, cell_side(params.d_cut, d, eps))
+    ref = brute_dpc(pts, params)
+    picked = np.array([grid.members(c)[0] for c in range(grid.m)])
+    key = (ref.rho + tiebreak(len(pts), params.seed))[picked]
+    d2 = sq_dists(pts[picked], pts)
+    assert np.array_equal(res.rho[picked], ref.rho[picked])
+    n_roots = 0
+    for c, p in enumerate(picked):
+        near = np.unique(grid.cell_of[d2[c] < params.d_cut**2])
+        up = [c2 for c2 in near if c2 != c and key[c2] > key[c]]
+        if up:
+            best = max(up, key=lambda c2: (key[c2], -c2))
+            assert res.dep[p] == picked[best]
+            assert res.delta[p] == (1 + eps) * params.d_cut
+            continue
+        n_roots += 1
+        higher = key > key[c]
+        if higher.any():
+            assert res.delta[p] == np.sqrt(d2[c, picked[higher]].min())
+            c2 = grid.cell_of[res.dep[p]]
+            assert res.dep[p] == picked[c2] and key[c2] > key[c]
+        else:
+            assert res.dep[p] == -1 and res.delta[p] == np.inf
+    assert res.counters["n_roots"] == n_roots > 1
 
 
 class TestSApprox:
@@ -84,14 +123,16 @@ class TestSApprox:
         picked = {int(g.members(c)[0]) for c in range(g.m)}
         assert all(int(c) in picked for c in res.centers)
 
-    def test_fallback_path_equivalent(self):
+    def test_fallback_path_equivalent(self, monkeypatch):
         pts = make_blobs(n_per=100, k=3, seed=7)
         params = DPCParams(d_cut=8.0, rho_min=3, delta_min=30.0)
         a = s_approx_dpc(pts, params, eps=0.5)
-        b = s_approx_dpc(pts, params, eps=0.5, fallback_factor=0.0)  # force fallback
-        # both paths compute dependent points among picked points; the
-        # resulting clusterings agree almost everywhere
-        assert rand_index(a.labels, b.labels) >= 0.95
+        monkeypatch.setattr("repro.core.s_approx_dpc._FALLBACK_FACTOR", 0.0)  # force fallback
+        b = s_approx_dpc(pts, params, eps=0.5)
+        # both paths find the exact nearest higher-density picked point
+        assert np.array_equal(a.dep, b.dep)
+        assert np.array_equal(a.delta, b.delta)
+        assert np.array_equal(a.labels, b.labels)
 
     def test_result_fields(self):
         pts = make_blobs(n_per=40, k=2, seed=8)
